@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test fuzz-short probe bench benchjson
+.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test bench-test fuzz-short probe bench benchjson
 
-## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (negotiation + golden vectors + short fuzz), replication, adaptive merging, and the quick probes (read-under-write + cross-shard IND)
-check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test probe
+## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (hello + golden vectors + short fuzz), replication, adaptive merging, the benchmark module's vet and tests, and the quick probes (read-under-write + cross-shard IND)
+check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test bench-test probe
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -41,9 +41,9 @@ serve-test:
 shard-test:
 	$(GO) test -race -count=1 -run 'HashKey|Router|CrossShard|Shard|NonKeyIND|ProbeCache' ./internal/shard/
 
-## proto-test: the wire-protocol suite — version negotiation matrix, binary golden vectors, codec round trips, encode allocation budget — fresh under the race detector, then a short fuzz of both codecs
+## proto-test: the wire-protocol suite — hello version matrix and legacy-server refusal, hello and binary golden vectors, codec round trips and fail-closed decoding, encode/decode allocation budgets — fresh under the race detector, then a short fuzz of the binary codec and of every decoder facing untrusted bytes (binary request/response, JSON hello)
 proto-test:
-	$(GO) test -race -count=1 -run 'Negotiation|Golden|Binary|Version|Fallback|Taxonomy|WriteFrame|EncodeAllocs' ./internal/server/
+	$(GO) test -race -count=1 -run 'Negotiation|Golden|Binary|Version|DialsOnce|DecodeRequest|WriteFrame|Allocs' ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server/
 
@@ -55,10 +55,14 @@ repl-test:
 advise-test:
 	$(GO) test -race -count=1 -run 'Migrate|CoAccess|Decide|Apply|Advis|CostModelFromStats' ./internal/engine/ ./internal/shard/ ./internal/advisor/... ./pkg/relmerge/
 
-## fuzz-short: a longer fuzz pass over the wire codecs (frame reader + binary round trip)
+## fuzz-short: a longer fuzz pass over the wire decoders (frame reader + binary request/response + JSON hello) and the binary round trip
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 60s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 60s ./internal/server/
+
+## bench-test: vet and test the benchmark (perfbench/ is a nested module, so ./... above never compiles it)
+bench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 ## probe: the quick gates — the MVCC read path stays lock-free beside a saturating writer, and cross-shard routing exercises the IND probe path and rejects dangling keys
 probe:

@@ -87,8 +87,6 @@ type benchReport struct {
 	ReadUnderRatios    map[string]float64    `json:"read_under_write_ratios"`
 	Sharding           suite[shardingRow]    `json:"sharding"`
 	ShardingSpeedups   map[string]float64    `json:"sharding_speedups"`
-	Protocol           suite[protocolRow]    `json:"protocol"`
-	ProtocolRatios     map[string]float64    `json:"protocol_ratios"`
 	Replication        suite[replRow]        `json:"replication"`
 	ReplicationGains   map[string]float64    `json:"replication_gains"`
 	ReplicationLag     *replLag              `json:"replication_lag"`
@@ -357,11 +355,6 @@ func runJSON(path string) error {
 		return err
 	}
 
-	protocol, protocolRatios, err := protocolSuite()
-	if err != nil {
-		return err
-	}
-
 	replication, replicationGains, replicationLag, replicationFail, err := replicationSuite()
 	if err != nil {
 		return err
@@ -389,8 +382,6 @@ func runJSON(path string) error {
 		ReadUnderRatios:    readUnderRatios,
 		Sharding:           newSuite(sharding),
 		ShardingSpeedups:   shardingSpeedups,
-		Protocol:           newSuite(protocol),
-		ProtocolRatios:     protocolRatios,
 		Replication:        newSuite(replication),
 		ReplicationGains:   replicationGains,
 		ReplicationLag:     replicationLag,
@@ -478,15 +469,6 @@ func runJSON(path string) error {
 	for _, k := range []string{"local/1to4", "local/1to8", "xshard/1to4", "xshard/1to8"} {
 		if s, ok := report.ShardingSpeedups[k]; ok {
 			fmt.Printf("  %-14s %.1fx\n", k, s)
-		}
-	}
-	fmt.Printf("wire protocol, binary / json throughput ratio:\n")
-	for _, mix := range protocolMixes {
-		for _, clients := range protocolClients {
-			k := fmt.Sprintf("%s/clients=%d", mix.Name, clients)
-			if s, ok := report.ProtocolRatios[k]; ok {
-				fmt.Printf("  %-26s %.2fx\n", k, s)
-			}
 		}
 	}
 	fmt.Printf("replication read fan-out (aggregate ops/sec vs. primary alone):\n")

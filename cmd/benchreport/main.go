@@ -72,7 +72,6 @@ func main() {
 		{"P7", "Client/server serving: Session throughput, embedded vs. remote", runP7},
 		{"P8", "Read-under-write: MVCC reader throughput vs. saturating writer", runP8},
 		{"P9", "Shard scaling: write throughput and cross-shard IND probe cost vs. shard count", runP9},
-		{"P10", "Wire protocol overhead: binary v2 vs JSON v1, throughput and bytes/op", runP10},
 		{"P11", "Replication: follower read fan-out, shipping lag, failover", runP11},
 		{"P12", "Adaptive merging: live advisor A/B, merge-favorable vs merge-hostile", runP12},
 	}

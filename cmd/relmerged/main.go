@@ -1,9 +1,8 @@
-// Command relmerged serves a relmerge engine over the length-prefixed wire
-// protocol (see internal/server) — binary v2 by default, negotiated down to
-// JSON v1 per connection: inserts, deletes, updates, key fetches, batches,
-// transactions, stats, and checkpoints, with per-request deadlines,
-// admission control, and server-side write coalescing aligned with the
-// write-ahead log's group commit.
+// Command relmerged serves a relmerge engine over the length-prefixed binary
+// wire protocol (see internal/server): inserts, deletes, updates, key
+// fetches, batches, transactions, stats, and checkpoints, with per-request
+// deadlines, admission control, and server-side write coalescing aligned
+// with the write-ahead log's group commit.
 //
 // Usage:
 //
@@ -53,7 +52,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "request worker pool size (0 = GOMAXPROCS, at least 4)")
 		queueDepth  = flag.Int("queue", 0, "admission queue depth (0 = default 64); a full queue rejects with code overloaded")
 		coalesce    = flag.Int("coalesce", 0, "max queued writes folded into one engine batch and WAL record (0 = default 16, 1 disables)")
-		wire        = flag.String("wire", "binary", "highest wire codec to negotiate: binary (protocol v2) or json (v1 only); v1-only clients get JSON either way")
 		adviseMode  = flag.String("advise", "off", "adaptive-merge advisor: off, suggest (log recommendations), or auto (additionally apply only-NNA merges to the live design); not valid with -replica-of")
 		adviseEvery = flag.Duration("advise-interval", time.Second, "decision cadence of the -advise loop")
 		accessDelay = flag.Duration("access-delay", 0, "simulated storage access delay per operation (benchmark knob)")
@@ -65,15 +63,6 @@ func main() {
 	fsyncPolicy, err := relmerge.ParseSyncPolicy(*fsyncMode)
 	if err != nil {
 		fatal(fmt.Errorf("relmerged: %w", err))
-	}
-
-	maxWire := server.MaxProtoVersion
-	switch *wire {
-	case "binary":
-	case "json":
-		maxWire = server.ProtoVersion
-	default:
-		fatal(fmt.Errorf("relmerged: unknown -wire codec %q (want binary or json)", *wire))
 	}
 
 	advisor, err := relmerge.ParseAdvisorMode(*adviseMode)
@@ -227,7 +216,6 @@ func main() {
 	srv := server.New(db, server.Config{
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
-		MaxWire:     maxWire,
 		CoalesceMax: *coalesce,
 		Logf:        logf,
 	})

@@ -177,15 +177,14 @@ func (db *DB) recover(rec *Recovery) error {
 	}
 	st := state.New(db.Schema)
 	if rec.Snapshot != nil {
-		schemaSDL, stateSDL, framed, err := decodeSnapshot(rec.Snapshot)
+		schemaSDL, stateSDL, err := decodeSnapshot(rec.Snapshot)
 		if err != nil {
 			return fmt.Errorf("%w: parsing snapshot: %v", ErrRecovery, err)
 		}
-		// A framed snapshot is self-describing: if it was taken after a live
+		// A snapshot is self-describing: if it was taken after a live
 		// migration its schema differs from the Open-time one, and the engine
-		// rebinds onto the serialized design before parsing the state. Legacy
-		// (unframed) snapshots parse against the Open-time schema as before.
-		if framed && schemaSDL != sdl.PrintSchema(db.Schema) {
+		// rebinds onto the serialized design before parsing the state.
+		if schemaSDL != sdl.PrintSchema(db.Schema) {
 			if err := db.rebind(schemaSDL); err != nil {
 				return fmt.Errorf("%w: rebinding onto snapshot schema: %v", ErrRecovery, err)
 			}
@@ -337,9 +336,7 @@ func (db *DB) rebind(schemaSDL string) error {
 	return nil
 }
 
-// snapMagic frames checkpoint snapshots that embed their own schema.
-// Payloads without the magic are legacy: raw state SDL against the Open-time
-// schema.
+// snapMagic frames checkpoint snapshots, which embed their own schema.
 const snapMagic = "RMSNAP2\n"
 
 // encodeSnapshot frames a checkpoint payload: magic, length-prefixed schema
@@ -353,19 +350,18 @@ func encodeSnapshot(schemaSDL, stateSDL string) []byte {
 	return buf
 }
 
-// decodeSnapshot splits a checkpoint payload into schema and state SDL.
-// Unframed (legacy) payloads return framed=false with the whole payload as
-// state SDL.
-func decodeSnapshot(b []byte) (schemaSDL, stateSDL string, framed bool, err error) {
+// decodeSnapshot splits a checkpoint payload into schema and state SDL. A
+// payload without the magic is refused.
+func decodeSnapshot(b []byte) (schemaSDL, stateSDL string, err error) {
 	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return "", string(b), false, nil
+		return "", "", fmt.Errorf("missing %q frame", snapMagic)
 	}
 	d := &walDecoder{b: b[len(snapMagic):]}
 	schemaSDL = d.str()
 	if d.err != nil {
-		return "", "", false, fmt.Errorf("corrupt snapshot frame: %w", d.err)
+		return "", "", fmt.Errorf("corrupt snapshot frame: %w", d.err)
 	}
-	return schemaSDL, string(d.b), true, nil
+	return schemaSDL, string(d.b), nil
 }
 
 // encodeSchemaRecord renders one schema-change record:

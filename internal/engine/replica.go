@@ -139,11 +139,11 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 	defer db.schemaMu.Unlock()
 	db.replMu.Lock()
 	defer db.replMu.Unlock()
-	schemaSDL, stateSDL, framed, err := decodeSnapshot(data)
+	schemaSDL, stateSDL, err := decodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("%w: parsing shipped snapshot: %v", ErrRecovery, err)
 	}
-	if framed && schemaSDL != sdl.PrintSchema(db.Schema) {
+	if schemaSDL != sdl.PrintSchema(db.Schema) {
 		if err := db.rebind(schemaSDL); err != nil {
 			return fmt.Errorf("%w: rebinding onto shipped snapshot schema: %v", ErrRecovery, err)
 		}
@@ -235,5 +235,10 @@ func (db *DB) DurableLSN() uint64 {
 	if db.wal == nil {
 		return 0
 	}
+	// The replicated ingest advances the log before it publishes the
+	// records' effects, both under replMu: reading under it too keeps a
+	// follower's horizon from running ahead of what its reads can see.
+	db.replMu.Lock()
+	defer db.replMu.Unlock()
 	return db.wal.LSN()
 }

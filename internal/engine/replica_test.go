@@ -195,6 +195,14 @@ func TestReplicatedSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A bare state payload without the RMSNAP2 frame is refused.
+	_, stateSDL, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.IngestSnapshot([]byte(stateSDL), lsn); !errors.Is(err, ErrRecovery) {
+		t.Fatalf("IngestSnapshot of an unframed payload = %v, want ErrRecovery", err)
+	}
 	if err := f.IngestSnapshot(data, lsn); err != nil {
 		t.Fatal(err)
 	}

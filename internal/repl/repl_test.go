@@ -278,6 +278,8 @@ func TestFailoverPromoteRecoversAckedPrefix(t *testing.T) {
 // faultBackend wraps a durable engine and, once armed, corrupts the shipped
 // stream: mode "gap" drops the first record of a chunk, mode "reorder" swaps
 // the first two. Both leave a follower that must refuse rather than diverge.
+// An armed backend withholds a lone record, so the fault lands however the
+// follower's fetches interleave with the primary's commits.
 type faultBackend struct {
 	*engine.DB
 	mode  string
@@ -286,8 +288,11 @@ type faultBackend struct {
 
 func (g *faultBackend) ReplRead(afterLSN uint64, maxRecords int) ([]wal.Record, uint64, error) {
 	recs, horizon, err := g.DB.ReplRead(afterLSN, maxRecords)
-	if err != nil || !g.armed.Load() || len(recs) < 2 {
+	if err != nil || !g.armed.Load() {
 		return recs, horizon, err
+	}
+	if len(recs) < 2 {
+		return nil, horizon, nil
 	}
 	switch g.mode {
 	case "gap":

@@ -4,16 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
+
+	"repro/internal/engine"
+	"repro/internal/relation"
 )
 
-// The protocol v2 binary codec. A v2 frame keeps the v1 framing (4-byte
-// big-endian length prefix, bounded by MaxFrame) but replaces the JSON body
-// with a compact binary encoding: one opcode byte, unsigned varints for IDs,
-// lengths, and counts, signed varints for integer values, and raw
+// The binary codec of protocol version 2, which carries every frame after
+// the JSON hello. A frame is a 4-byte big-endian length prefix (bounded by
+// MaxFrame) and a compact binary body: one opcode byte, unsigned varints for
+// IDs, lengths, and counts, signed varints for integer values, and raw
 // little-endian IEEE 754 bits for floats — so NaN payloads and signed zero
-// survive bit-exactly without the v1 hex-string detour. Strings travel as
-// length-prefixed raw bytes.
+// survive bit-exactly. Strings travel as length-prefixed raw bytes. Values
+// are encoded from, and decoded straight into, relation.Value.
 //
 // The encoding is a frozen compatibility contract: wire_golden_test.go pins
 // byte-exact vectors for every frame shape, and any change that breaks them
@@ -168,56 +170,46 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendValue encodes one wire value. The payload string must be in the
-// canonical form EncodeValue produces; anything else (bad int digits, bad
-// float hex, bad bool) is an encode error, mirroring what DecodeValue would
-// reject on the JSON path.
-func appendValue(dst []byte, w WireValue) ([]byte, error) {
-	switch w.T {
-	case "n":
-		return append(dst, binValNull), nil
-	case "s":
-		dst = append(dst, binValString)
-		return appendString(dst, w.V), nil
-	case "i":
-		n, err := strconv.ParseInt(w.V, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad int value %q", w.V)
+func appendValue(dst []byte, v relation.Value) []byte {
+	switch v.Kind() {
+	case relation.KindString:
+		return appendString(append(dst, binValString), v.AsString())
+	case relation.KindInt:
+		return binary.AppendVarint(append(dst, binValInt), v.AsInt())
+	case relation.KindFloat:
+		return binary.LittleEndian.AppendUint64(append(dst, binValFloat), math.Float64bits(v.AsFloat()))
+	case relation.KindBool:
+		if v.AsBool() {
+			return append(dst, binValTrue)
 		}
-		dst = append(dst, binValInt)
-		return binary.AppendVarint(dst, n), nil
-	case "f":
-		bits, err := strconv.ParseUint(w.V, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float value %q", w.V)
-		}
-		dst = append(dst, binValFloat)
-		return binary.LittleEndian.AppendUint64(dst, bits), nil
-	case "b":
-		switch w.V {
-		case "1":
-			return append(dst, binValTrue), nil
-		case "0":
-			return append(dst, binValFalse), nil
-		}
-		return nil, fmt.Errorf("bad bool value %q", w.V)
+		return append(dst, binValFalse)
 	}
-	return nil, fmt.Errorf("unknown value kind %q", w.T)
+	return append(dst, binValNull)
 }
 
-func appendWireTuple(dst []byte, t []WireValue) ([]byte, error) {
+func appendTuple(dst []byte, t relation.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	var err error
-	for _, w := range t {
-		if dst, err = appendValue(dst, w); err != nil {
-			return nil, err
-		}
+	for _, v := range t {
+		dst = appendValue(dst, v)
 	}
-	return dst, nil
+	return dst
 }
 
-// appendRequestBinary encodes one request as a v2 body.
-func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
+// batchOpcode maps a batch op kind onto its (insert/delete/update) opcode.
+func batchOpcode(k engine.BatchKind) (byte, bool) {
+	switch k {
+	case engine.BatchInsert:
+		return binOpInsert, true
+	case engine.BatchDelete:
+		return binOpDelete, true
+	case engine.BatchUpdate:
+		return binOpUpdate, true
+	}
+	return 0, false
+}
+
+// appendRequest encodes one request body.
+func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	oc, ok := opToOpcode(req.Op)
 	if !ok {
 		return nil, fmt.Errorf("unknown op %q", req.Op)
@@ -227,33 +219,22 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(req.DeadlineMS))
 	dst = binary.AppendUvarint(dst, uint64(req.Version))
 	dst = appendString(dst, req.Relation)
-	var err error
-	if dst, err = appendWireTuple(dst, req.Key); err != nil {
-		return nil, err
-	}
-	if dst, err = appendWireTuple(dst, req.Tuple); err != nil {
-		return nil, err
-	}
+	dst = appendTuple(dst, req.Key)
+	dst = appendTuple(dst, req.Tuple)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Tuples)))
 	for _, t := range req.Tuples {
-		if dst, err = appendWireTuple(dst, t); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, t)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
 	for _, op := range req.Ops {
-		kc, ok := opToOpcode(op.Kind)
-		if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
-			return nil, fmt.Errorf("unknown batch kind %q", op.Kind)
+		kc, ok := batchOpcode(op.Kind)
+		if !ok {
+			return nil, fmt.Errorf("unknown batch kind %d", op.Kind)
 		}
 		dst = append(dst, kc)
 		dst = appendString(dst, op.Relation)
-		if dst, err = appendWireTuple(dst, op.Key); err != nil {
-			return nil, err
-		}
-		if dst, err = appendWireTuple(dst, op.Tuple); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, op.Key)
+		dst = appendTuple(dst, op.Tuple)
 	}
 	if replOp(req.Op) {
 		dst = binary.AppendUvarint(dst, req.AfterLSN)
@@ -262,8 +243,8 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// appendResponseBinary encodes one response as a v2 body.
-func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
+// appendResponse encodes one response body.
+func appendResponse(dst []byte, resp *Response) []byte {
 	dst = binary.AppendUvarint(dst, resp.ID)
 	var flags byte
 	if resp.OK {
@@ -301,10 +282,7 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 		dst = appendString(dst, v.Op)
 	}
 	if flags&binFlagTuple != 0 {
-		var err error
-		if dst, err = appendWireTuple(dst, resp.Tuple); err != nil {
-			return nil, err
-		}
+		dst = appendTuple(dst, resp.Tuple)
 	}
 	if s := resp.Stats; s != nil {
 		for _, n := range []int{s.Inserts, s.Deletes, s.Updates, s.Lookups,
@@ -325,7 +303,7 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 			dst = append(dst, rec.Payload...)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // --- decoding (strict: bounds-checked, no trailing bytes) ---
@@ -394,7 +372,7 @@ func (r *binReader) str() (string, error) {
 }
 
 // bytes reads a length-prefixed byte blob (copied: the body buffer is
-// pooled). A zero length returns nil, matching v1 omitempty semantics.
+// pooled). A zero length returns nil.
 func (r *binReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -412,50 +390,44 @@ func (r *binReader) bytes() ([]byte, error) {
 	return out, nil
 }
 
-func (r *binReader) value() (WireValue, error) {
+func (r *binReader) value() (relation.Value, error) {
 	tag, err := r.u8()
 	if err != nil {
-		return WireValue{}, err
+		return relation.Value{}, err
 	}
 	switch tag {
 	case binValNull:
-		return WireValue{T: "n"}, nil
+		return relation.Null(), nil
 	case binValString:
 		s, err := r.str()
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{T: "s", V: s}, nil
+		return relation.NewString(s), err
 	case binValInt:
 		n, err := r.varint()
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{T: "i", V: strconv.FormatInt(n, 10)}, nil
+		return relation.NewInt(n), err
 	case binValFloat:
 		if r.remaining() < 8 {
-			return WireValue{}, fmt.Errorf("truncated float at byte %d", r.off)
+			return relation.Value{}, fmt.Errorf("truncated float at byte %d", r.off)
 		}
 		bits := binary.LittleEndian.Uint64(r.b[r.off:])
 		r.off += 8
-		return WireValue{T: "f", V: strconv.FormatUint(bits, 16)}, nil
+		return relation.NewFloat(math.Float64frombits(bits)), nil
 	case binValFalse:
-		return WireValue{T: "b", V: "0"}, nil
+		return relation.NewBool(false), nil
 	case binValTrue:
-		return WireValue{T: "b", V: "1"}, nil
+		return relation.NewBool(true), nil
 	}
-	return WireValue{}, fmt.Errorf("unknown value tag 0x%02x", tag)
+	return relation.Value{}, fmt.Errorf("unknown value tag 0x%02x", tag)
 }
 
-func (r *binReader) tuple() ([]WireValue, error) {
+func (r *binReader) tuple() (relation.Tuple, error) {
 	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, nil // absent tuple, matching v1 omitempty semantics
+		return nil, nil // count 0 = absent
 	}
-	out := make([]WireValue, n)
+	out := make(relation.Tuple, n)
 	for i := range out {
 		if out[i], err = r.value(); err != nil {
 			return nil, err
@@ -464,8 +436,8 @@ func (r *binReader) tuple() ([]WireValue, error) {
 	return out, nil
 }
 
-// decodeRequestBinary parses one v2 request body.
-func decodeRequestBinary(body []byte) (*Request, error) {
+// decodeRequest parses one request body.
+func decodeRequest(body []byte) (*Request, error) {
 	r := &binReader{b: body}
 	oc, err := r.u8()
 	if err != nil {
@@ -509,7 +481,7 @@ func decodeRequestBinary(body []byte) (*Request, error) {
 		return nil, err
 	}
 	if ntuples > 0 {
-		req.Tuples = make([][]WireValue, ntuples)
+		req.Tuples = make([]relation.Tuple, ntuples)
 		for i := range req.Tuples {
 			if req.Tuples[i], err = r.tuple(); err != nil {
 				return nil, err
@@ -521,17 +493,22 @@ func decodeRequestBinary(body []byte) (*Request, error) {
 		return nil, err
 	}
 	if nops > 0 {
-		req.Ops = make([]WireOp, nops)
+		req.Ops = make([]engine.BatchOp, nops)
 		for i := range req.Ops {
 			kc, err := r.u8()
 			if err != nil {
 				return nil, err
 			}
-			kind, ok := opcodeToOp(kc)
-			if !ok || (kc != binOpInsert && kc != binOpDelete && kc != binOpUpdate) {
+			switch kc {
+			case binOpInsert:
+				req.Ops[i].Kind = engine.BatchInsert
+			case binOpDelete:
+				req.Ops[i].Kind = engine.BatchDelete
+			case binOpUpdate:
+				req.Ops[i].Kind = engine.BatchUpdate
+			default:
 				return nil, fmt.Errorf("unknown batch kind opcode 0x%02x", kc)
 			}
-			req.Ops[i].Kind = kind
 			if req.Ops[i].Relation, err = r.str(); err != nil {
 				return nil, err
 			}
@@ -562,8 +539,8 @@ func decodeRequestBinary(body []byte) (*Request, error) {
 	return req, nil
 }
 
-// decodeResponseBinary parses one v2 response body.
-func decodeResponseBinary(body []byte) (*Response, error) {
+// decodeResponse parses one response body.
+func decodeResponse(body []byte) (*Response, error) {
 	r := &binReader{b: body}
 	resp := &Response{}
 	var err error
@@ -632,7 +609,7 @@ func decodeResponseBinary(body []byte) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp.Stats = &WireStats{
+		resp.Stats = &engine.StatsSnapshot{
 			Inserts:           int(ns[0]),
 			Deletes:           int(ns[1]),
 			Updates:           int(ns[2]),

@@ -20,8 +20,8 @@ var (
 	// while it executed. It matches context.DeadlineExceeded via errors.Is
 	// on responses decoded by the client.
 	ErrDeadline = errors.New("server: deadline exceeded")
-	// ErrProtocol marks a protocol violation (oversized frame, bad JSON,
-	// unknown op, duplicate in-flight request ID, version mismatch). The
+	// ErrProtocol marks a protocol violation (oversized frame, malformed
+	// body, unknown op, duplicate in-flight request ID, version mismatch). The
 	// offending connection fails closed; other connections are unaffected.
 	ErrProtocol = errors.New("server: protocol violation")
 	// ErrClosed is returned by client operations after Close, and by

@@ -1,76 +1,163 @@
 package server
 
 import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/engine"
-	"repro/internal/relation"
 )
 
-// errProtocolVersion reproduces the pre-negotiation server's exact-match
-// hello rejection, including the "version" wording the fallback keys on.
-func errProtocolVersion(offered int) error {
-	return fmt.Errorf("%w: protocol version %d not supported (server speaks %d)", ErrProtocol, offered, ProtoVersion)
+// errV1Offer is the server's refusal of a hello offering version 1.
+var errV1Offer = fmt.Errorf("%w: protocol version 1 not supported (server speaks 2)", ErrProtocol)
+
+// The hello exchange is the one JSON frame of the protocol, and its bytes are
+// a compatibility contract with every earlier release: these vectors pin
+// the whole frame, length prefix included.
+var goldenHello = []struct {
+	name   string
+	write  func(w io.Writer) (int, error)
+	prefix string // the 4-byte length prefix, hex
+	body   string
+}{
+	{"hello request", func(w io.Writer) (int, error) {
+		return writeJSONFrame(w, &hello{ID: 1, Op: OpHello, Version: ProtoVersion})
+	}, "00000022", `{"id":1,"op":"hello","version":2}` + "\n"},
+	{"hello accept", func(w io.Writer) (int, error) { return writeHelloReply(w, 1, nil) },
+		"0000001f", `{"id":1,"ok":true,"version":2}` + "\n"},
+	{"hello refuse", func(w io.Writer) (int, error) { return writeHelloReply(w, 1, errV1Offer) },
+		"0000007f", `{"id":1,"ok":false,"code":"protocol","error":"server: protocol violation: protocol version 1 not supported (server speaks 2)"}` + "\n"},
 }
 
-// negotiate dials a pooled client offering maxWire against addr and checks
-// the negotiated version and a full round trip over the agreed codec.
-func negotiate(t *testing.T, addr string, maxWire, want int) {
+func TestGoldenHelloVectors(t *testing.T) {
+	for _, g := range goldenHello {
+		t.Run(g.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := g.write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			want := g.prefix + hex.EncodeToString([]byte(g.body))
+			if got := hex.EncodeToString(buf.Bytes()); got != want {
+				t.Fatalf("hello frame drifted:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+	// The pinned refusal is the one the server gives a v1 offer.
+	var h hello
+	if err := decodeHello([]byte(`{"id":1,"op":"hello","version":1}`), &h); err == nil || err.Error() != errV1Offer.Error() {
+		t.Fatalf("v1 offer refused with %v, want %v", err, errV1Offer)
+	}
+}
+
+// fakeServer accepts connections on a loopback listener and hands each to
+// serve, counting accepted connections.
+func fakeServer(t *testing.T, serve func(nc net.Conn)) (addr string, accepts *atomic.Int32) {
 	t.Helper()
-	c, err := Dial(addr, ClientOptions{MaxWire: maxWire, PoolSize: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if got := c.WireVersion(); got != want {
-		t.Fatalf("negotiated version %d, want %d", got, want)
-	}
-	// Exercise the agreed codec past the handshake: a mutation, a hit, and a
-	// miss must all round-trip.
-	if err := c.InsertCtx(nil, "R", row("neg", "v")); err != nil {
-		t.Fatal(err)
-	}
-	tup, found, err := c.FetchCtx(nil, "R", key("neg"))
-	if err != nil || !found {
-		t.Fatalf("fetch: found=%v err=%v", found, err)
-	}
-	if tup[1].AsString() != "v" {
-		t.Fatalf("fetched %v", tup)
-	}
-	if _, found, err := c.FetchCtx(nil, "R", key("absent")); err != nil || found {
-		t.Fatalf("miss: found=%v err=%v", found, err)
-	}
+	t.Cleanup(func() { ln.Close() })
+	accepts = new(atomic.Int32)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				defer nc.Close()
+				serve(nc)
+			}()
+		}
+	}()
+	return ln.Addr().String(), accepts
 }
 
-// TestVersionNegotiationMatrix covers every client/server pairing: both
-// sides v2 speak binary; either side pinned to v1 lands the connection on
-// JSON transparently.
+// readOffer reads a JSON hello the way every release's server does.
+func readOffer(nc net.Conn) (hello, error) {
+	var h hello
+	body, err := ReadFrame(nc, DefaultMaxFrame)
+	if err != nil {
+		return h, err
+	}
+	return h, json.Unmarshal(body, &h)
+}
+
+// TestVersionNegotiationMatrix covers every client/server pairing that can
+// meet on the network: only version 2 on both sides connects, a server
+// answers any higher offer with 2, and every other pairing is refused with
+// CodeProtocol.
 func TestVersionNegotiationMatrix(t *testing.T) {
 	t.Run("v2 client, v2 server", func(t *testing.T) {
 		_, addr := startServer(t, Config{})
-		negotiate(t, addr, MaxProtoVersion, ProtoVersionBinary)
+		c, err := Dial(addr, ClientOptions{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.InsertCtx(nil, "R", row("neg", "v")); err != nil {
+			t.Fatal(err)
+		}
+		tup, found, err := c.FetchCtx(nil, "R", key("neg"))
+		if err != nil || !found || tup[1].AsString() != "v" {
+			t.Fatalf("fetch: tup=%v found=%v err=%v", tup, found, err)
+		}
+		if _, found, err := c.FetchCtx(nil, "R", key("absent")); err != nil || found {
+			t.Fatalf("miss: found=%v err=%v", found, err)
+		}
 	})
 	t.Run("v2 client, v1-only server", func(t *testing.T) {
-		_, addr := startServer(t, Config{MaxWire: ProtoVersion})
-		negotiate(t, addr, MaxProtoVersion, ProtoVersion)
+		// A server pinned to JSON v1 accepts the hello but answers version 1.
+		addr, accepts := fakeServer(t, func(nc net.Conn) {
+			h, err := readOffer(nc)
+			if err != nil {
+				return
+			}
+			writeJSONFrame(nc, &helloReply{ID: h.ID, OK: true, Version: 1})
+			ReadFrame(nc, DefaultMaxFrame) // wait for the client to hang up
+		})
+		_, err := Dial(addr, ClientOptions{PoolSize: 1})
+		if CodeOf(err) != CodeProtocol {
+			t.Fatalf("Dial = %v (code %q), want code %q", err, CodeOf(err), CodeProtocol)
+		}
+		if n := accepts.Load(); n != 1 {
+			t.Fatalf("client dialed %d times, want 1", n)
+		}
 	})
 	t.Run("v1 client, v2 server", func(t *testing.T) {
 		_, addr := startServer(t, Config{})
-		negotiate(t, addr, ProtoVersion, ProtoVersion)
+		c := dialRaw(t, addr)
+		c.sendHello(1)
+		if resps := c.drainResponses(); len(resps) != 1 || resps[0].OK || resps[0].Code != CodeProtocol {
+			t.Fatalf("v1 offer answered %+v, want one %q refusal", resps, CodeProtocol)
+		}
 	})
-	t.Run("v1 client, v1-only server", func(t *testing.T) {
-		_, addr := startServer(t, Config{MaxWire: ProtoVersion})
-		negotiate(t, addr, ProtoVersion, ProtoVersion)
+	t.Run("v3 client, v2 server", func(t *testing.T) {
+		_, addr := startServer(t, Config{})
+		c := dialRaw(t, addr)
+		c.sendHello(3)
+		resp, err := c.recv()
+		if err != nil || !resp.OK || resp.Version != ProtoVersion {
+			t.Fatalf("v3 offer answered %+v (%v), want version %d", resp, err, ProtoVersion)
+		}
+		c.binary = true
+		c.send(&Request{ID: 2, Op: OpPing})
+		if resp, err := c.recv(); err != nil || !resp.OK || resp.ID != 2 {
+			t.Fatalf("binary ping after the hello: %+v (%v)", resp, err)
+		}
 	})
 }
 
-// TestGarbageVersionFailsOnlyThatConnection sends a hello offering version 0:
-// the server must answer with a protocol error and close that connection,
-// while a well-behaved connection negotiated before it keeps working.
+// TestGarbageVersionFailsOnlyThatConnection sends hellos offering versions
+// below 2: each must get exactly one protocol-error reply before the server
+// closes that connection, while a connection established before it keeps
+// working.
 func TestGarbageVersionFailsOnlyThatConnection(t *testing.T) {
 	_, addr := startServer(t, Config{})
 
@@ -80,20 +167,19 @@ func TestGarbageVersionFailsOnlyThatConnection(t *testing.T) {
 	}
 	defer good.Close()
 
-	bad := dialRaw(t, addr)
-	bad.send(&Request{ID: 1, Op: OpHello, Version: 0})
-	resp, err := bad.recv()
-	if err != nil {
-		t.Fatalf("expected an error response before close, got %v", err)
-	}
-	if resp.OK || resp.Code != CodeProtocol {
-		t.Fatalf("garbage version answered %+v, want code %q", resp, CodeProtocol)
-	}
-	if !errors.Is(responseError(resp), ErrProtocol) {
-		t.Fatalf("response %+v does not map to ErrProtocol", resp)
-	}
-	if _, err := bad.recv(); err == nil {
-		t.Fatal("connection survived a garbage hello version")
+	for _, offer := range []int{0, 1} {
+		bad := dialRaw(t, addr)
+		bad.sendHello(offer)
+		resps := bad.drainResponses() // returns only once the server closed the conn
+		if len(resps) != 1 {
+			t.Fatalf("offer %d: %d replies before close, want 1", offer, len(resps))
+		}
+		if resp := resps[0]; resp.OK || resp.Code != CodeProtocol {
+			t.Fatalf("offer %d answered %+v, want code %q", offer, resp, CodeProtocol)
+		}
+		if !errors.Is(responseError(resps[0]), ErrProtocol) {
+			t.Fatalf("offer %d: response %+v does not map to ErrProtocol", offer, resps[0])
+		}
 	}
 
 	// The abuse must not have poisoned the healthy connection.
@@ -102,117 +188,24 @@ func TestGarbageVersionFailsOnlyThatConnection(t *testing.T) {
 	}
 }
 
-// TestClientFallsBackToV1AgainstLegacyServer runs a fake pre-negotiation
-// server that rejects any hello above version 1 outright (the old exact-match
-// handshake) and then serves v1 pings. A v2 client must transparently redial
-// offering v1.
-func TestClientFallsBackToV1AgainstLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				for {
-					body, err := ReadFrame(nc, DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					req, err := DecodeRequest(body)
-					if err != nil {
-						return
-					}
-					switch {
-					case req.Op == OpHello && req.Version != ProtoVersion:
-						// The legacy exact-match rejection, message included.
-						WriteFrame(nc, errorResponse(req.ID, errProtocolVersion(req.Version)))
-						return
-					case req.Op == OpHello:
-						WriteFrame(nc, &Response{ID: req.ID, OK: true, Version: ProtoVersion})
-					case req.Op == OpPing:
-						WriteFrame(nc, &Response{ID: req.ID, OK: true})
-					default:
-						WriteFrame(nc, errorResponse(req.ID, io.ErrUnexpectedEOF))
-						return
-					}
-				}
-			}(nc)
-		}
-	}()
-
-	c, err := Dial(ln.Addr().String(), ClientOptions{MaxWire: MaxProtoVersion, PoolSize: 1})
-	if err != nil {
-		t.Fatalf("v2 client failed against legacy v1 server: %v", err)
-	}
-	defer c.Close()
-	if got := c.WireVersion(); got != ProtoVersion {
-		t.Fatalf("fell back to version %d, want %d", got, ProtoVersion)
-	}
-	if err := c.PingCtx(nil); err != nil {
-		t.Fatalf("ping after fallback: %v", err)
-	}
-}
-
-// TestErrorTaxonomyIdenticalAcrossCodecs issues the same failing operations
-// over a binary and a JSON connection: the Code, the mapped sentinel, and
-// the typed constraint violation must match exactly.
-func TestErrorTaxonomyIdenticalAcrossCodecs(t *testing.T) {
-	_, addr := startServer(t, Config{})
-
-	type outcome struct {
-		code      Code
-		violation *engine.ConstraintViolation
-	}
-	run := func(t *testing.T, maxWire int) map[string]outcome {
-		t.Helper()
-		c, err := Dial(addr, ClientOptions{MaxWire: maxWire, PoolSize: 1})
+// TestClientRefusedByLegacyServerDialsOnce runs a fake pre-negotiation
+// server that rejects any hello other than version 1 outright. The client
+// has no other codec to offer: Dial must fail with CodeProtocol after
+// exactly one connection, without redialing.
+func TestClientRefusedByLegacyServerDialsOnce(t *testing.T) {
+	addr, accepts := fakeServer(t, func(nc net.Conn) {
+		h, err := readOffer(nc)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		defer c.Close()
-		out := make(map[string]outcome)
-		record := func(name string, err error) {
-			o := outcome{code: CodeOf(err)}
-			var cv *engine.ConstraintViolation
-			if errors.As(err, &cv) {
-				o.violation = cv
-			}
-			out[name] = o
-		}
-		record("unknown relation", c.InsertCtx(nil, "NOPE", row("a", "b")))
-		record("arity mismatch", c.InsertCtx(nil, "R", relation.Tuple{relation.NewString("only")}))
-		record("duplicate key", func() error {
-			if err := c.InsertCtx(nil, "R", row("dup-"+t.Name(), "x")); err != nil {
-				return err
-			}
-			return c.InsertCtx(nil, "R", row("dup-"+t.Name(), "x"))
-		}())
-		record("commit without begin", c.CommitCtx(nil))
-		record("checkpoint non-durable", c.CheckpointCtx(nil))
-		return out
+		writeJSONFrame(nc, &helloReply{ID: h.ID, Code: CodeProtocol,
+			Error: fmt.Sprintf("server: protocol violation: protocol version %d not supported (server speaks 1)", h.Version)})
+	})
+	_, err := Dial(addr, ClientOptions{PoolSize: 1})
+	if CodeOf(err) != CodeProtocol || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("Dial against a v1-only server = %v (code %q), want code %q", err, CodeOf(err), CodeProtocol)
 	}
-
-	binOut := run(t, MaxProtoVersion)
-	jsonOut := run(t, ProtoVersion)
-	for name, b := range binOut {
-		j, ok := jsonOut[name]
-		if !ok {
-			t.Fatalf("case %q missing from JSON run", name)
-		}
-		if b.code != j.code {
-			t.Errorf("%s: binary code %q, json code %q", name, b.code, j.code)
-		}
-		if (b.violation == nil) != (j.violation == nil) {
-			t.Errorf("%s: violation presence differs (binary %v, json %v)", name, b.violation, j.violation)
-		} else if b.violation != nil && *b.violation != *j.violation {
-			t.Errorf("%s: violation differs:\n  binary %+v\n  json   %+v", name, *b.violation, *j.violation)
-		}
+	if n := accepts.Load(); n != 1 {
+		t.Fatalf("client dialed %d times, want exactly 1", n)
 	}
 }

@@ -1,11 +1,10 @@
 // Package server implements the relmerged network service: a length-prefixed
-// TCP protocol (JSON v1 or binary v2, negotiated per connection) serving
-// engine operations (insert/delete/update/fetch/batch/txn/stats/checkpoint)
-// from a bounded worker pool with admission control, per-request deadlines,
-// and write coalescing aligned with the WAL's group commit. The matching
-// client (with connection pooling and retries for idempotent operations)
-// lives in this package too; pkg/relmerge wraps both behind the Session
-// interface.
+// TCP protocol (one JSON hello, then binary frames) serving engine operations
+// (insert/delete/update/fetch/batch/txn/stats/checkpoint) from a bounded
+// worker pool with admission control, per-request deadlines, and write
+// coalescing aligned with the WAL's group commit. The matching client (with
+// connection pooling and retries for idempotent operations) lives in this
+// package too; pkg/relmerge wraps both behind the Session interface.
 package server
 
 import (
@@ -13,29 +12,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/relation"
 )
 
-// Protocol versions. The hello handshake is a negotiation: the client offers
-// its highest supported version, the server answers min(offered, its own
-// maximum), and both sides speak the agreed codec for the rest of the
-// connection. The hello exchange itself is always v1 JSON, so any client can
-// talk to any server regardless of what they go on to negotiate.
-const (
-	// ProtoVersion is the v1 JSON codec — the floor every peer supports.
-	ProtoVersion = 1
-	// ProtoVersionBinary is the v2 binary codec (see binary.go).
-	ProtoVersionBinary = 2
-	// MaxProtoVersion is the highest version this build speaks.
-	MaxProtoVersion = ProtoVersionBinary
-)
+// ProtoVersion is the wire protocol version: binary frames (see binary.go)
+// after a JSON hello. The hello is the only frame whose codec does not depend
+// on the version, so a peer of any release can learn what the other speaks:
+// the client offers its version, the server answers ProtoVersion to any offer
+// of at least ProtoVersion and refuses anything lower with CodeProtocol.
+const ProtoVersion = 2
 
-// DefaultMaxFrame bounds a single frame (4-byte length prefix + JSON body).
+// DefaultMaxFrame bounds a single frame (4-byte length prefix + body).
 // Frames announcing a larger body fail the connection closed before any
 // allocation proportional to the announced size.
 const DefaultMaxFrame = 4 << 20
@@ -56,11 +46,11 @@ const (
 	OpStats       = "stats"
 	OpCheckpoint  = "checkpoint"
 
-	// Replication ops (v2 additions; see repl.go in internal/repl for the
-	// shipping loop). All three are reads against the primary's log: subscribe
-	// validates a start position (shipping a snapshot when it was compacted
-	// away), fetch returns the next chunk of committed records plus the commit
-	// horizon, heartbeat returns the horizon alone.
+	// Replication ops (see repl.go in internal/repl for the shipping loop).
+	// All three are reads against the primary's log: subscribe validates a
+	// start position (shipping a snapshot when it was compacted away), fetch
+	// returns the next chunk of committed records plus the commit horizon,
+	// heartbeat returns the horizon alone.
 	OpReplSubscribe = "repl_subscribe"
 	OpReplFetch     = "repl_fetch"
 	OpReplHeartbeat = "repl_heartbeat"
@@ -71,18 +61,6 @@ const (
 func writeOp(op string) bool {
 	switch op {
 	case OpInsert, OpDelete, OpUpdate, OpInsertBatch, OpApplyBatch:
-		return true
-	}
-	return false
-}
-
-// knownOp reports whether op is part of the protocol. Unknown operations are
-// a protocol violation: the connection fails closed.
-func knownOp(op string) bool {
-	switch op {
-	case OpHello, OpPing, OpInsert, OpDelete, OpUpdate, OpFetch,
-		OpInsertBatch, OpApplyBatch, OpBegin, OpCommit, OpRollback,
-		OpStats, OpCheckpoint, OpReplSubscribe, OpReplFetch, OpReplHeartbeat:
 		return true
 	}
 	return false
@@ -101,329 +79,205 @@ func replOp(op string) bool {
 // Request is one client frame. ID must be unique among the connection's
 // in-flight requests; reusing a live ID is a protocol violation.
 type Request struct {
-	ID      uint64 `json:"id"`
-	Op      string `json:"op"`
-	Version int    `json:"version,omitempty"` // hello only
+	ID      uint64
+	Op      string
+	Version int // hello only
 
-	Relation string        `json:"relation,omitempty"`
-	Key      []WireValue   `json:"key,omitempty"`
-	Tuple    []WireValue   `json:"tuple,omitempty"`
-	Tuples   [][]WireValue `json:"tuples,omitempty"` // insert_batch
-	Ops      []WireOp      `json:"ops,omitempty"`    // apply_batch
+	Relation string
+	Key      relation.Tuple
+	Tuple    relation.Tuple
+	Tuples   []relation.Tuple // insert_batch
+	Ops      []engine.BatchOp // apply_batch
 
 	// DeadlineMS is the client's remaining time budget in milliseconds;
 	// zero means no deadline. The server arms a context deadline from it,
 	// so a request that expires while queued is answered with CodeDeadline
 	// without touching the engine.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	DeadlineMS int64
 
 	// Replication fields (repl_subscribe / repl_fetch only): the follower's
 	// durable position and the record-count cap for one fetch chunk.
-	AfterLSN   uint64 `json:"after_lsn,omitempty"`
-	MaxRecords int    `json:"max_records,omitempty"`
-}
-
-// WireOp is one operation of an apply_batch request.
-type WireOp struct {
-	Kind     string      `json:"kind"` // insert | delete | update
-	Relation string      `json:"relation"`
-	Key      []WireValue `json:"key,omitempty"`
-	Tuple    []WireValue `json:"tuple,omitempty"`
+	AfterLSN   uint64
+	MaxRecords int
 }
 
 // Response is one server frame, correlated to its request by ID.
 type Response struct {
-	ID      uint64 `json:"id"`
-	OK      bool   `json:"ok"`
-	Code    Code   `json:"code,omitempty"`
-	Error   string `json:"error,omitempty"`
-	Version int    `json:"version,omitempty"` // hello only
+	ID      uint64
+	OK      bool
+	Code    Code
+	Error   string
+	Version int // hello only
 
 	// Violation carries the full typed constraint violation when Code is
 	// CodeConstraint, so clients can reconstruct *engine.ConstraintViolation
 	// (which null-constraint regime fired, on which relation/attribute).
-	Violation *WireViolation `json:"violation,omitempty"`
+	Violation *WireViolation
 
-	Found bool        `json:"found,omitempty"` // fetch
-	Tuple []WireValue `json:"tuple,omitempty"` // fetch
-	Stats *WireStats  `json:"stats,omitempty"` // stats
-	Repl  *WireRepl   `json:"repl,omitempty"`  // repl_*
+	Found bool                  // fetch
+	Tuple relation.Tuple        // fetch
+	Stats *engine.StatsSnapshot // stats
+	Repl  *WireRepl             // repl_*
 }
 
 // WireRepl is the payload of a replication response: the primary's commit
 // horizon, a chunk of committed records (repl_fetch), and — when the
 // requested position was compacted away — a full snapshot to bootstrap from.
-// Byte fields ride v1 JSON as base64 ([]byte marshaling) and v2 binary raw.
 type WireRepl struct {
-	CommitLSN   uint64       `json:"commit_lsn"`
-	Records     []WireRecord `json:"records,omitempty"`
-	Snapshot    []byte       `json:"snapshot,omitempty"`
-	SnapshotLSN uint64       `json:"snapshot_lsn,omitempty"`
+	CommitLSN   uint64
+	Records     []WireRecord
+	Snapshot    []byte
+	SnapshotLSN uint64
 }
 
 // WireRecord is one shipped WAL record: the primary's LSN and the opaque
 // record payload (the engine's op encoding, replayed verbatim by the
 // follower's log).
 type WireRecord struct {
-	LSN     uint64 `json:"lsn"`
-	Payload []byte `json:"payload"`
+	LSN     uint64
+	Payload []byte
 }
 
 // WireViolation mirrors engine.ConstraintViolation on the wire.
 type WireViolation struct {
-	Kind       uint8  `json:"kind"`
-	Relation   string `json:"relation,omitempty"`
-	Attr       string `json:"attr,omitempty"`
-	Constraint string `json:"constraint,omitempty"`
-	Op         string `json:"op,omitempty"`
+	Kind       uint8
+	Relation   string
+	Attr       string
+	Constraint string
+	Op         string
 }
 
-// WireStats mirrors engine.StatsSnapshot with stable lowercase field names.
-// version_lsn is omitempty for cross-version compatibility: a client reading
-// an older server sees zero, an older client ignores the unknown key.
-type WireStats struct {
-	Inserts           int    `json:"inserts"`
-	Deletes           int    `json:"deletes"`
-	Updates           int    `json:"updates"`
-	Lookups           int    `json:"lookups"`
-	DeclarativeChecks int    `json:"declarative_checks"`
-	TriggerFirings    int    `json:"trigger_firings"`
-	IndexLookups      int    `json:"index_lookups"`
-	TuplesScanned     int    `json:"tuples_scanned"`
-	VersionLSN        uint64 `json:"version_lsn,omitempty"`
+// hello is the client's opening frame, the protocol's one JSON body:
+// {"id":N,"op":"hello","version":V}. Its shape is frozen so that peers of
+// every release can read each other's offer.
+type hello struct {
+	ID      uint64 `json:"id"`
+	Op      string `json:"op"`
+	Version int    `json:"version,omitempty"`
 }
 
-func toWireStats(s engine.StatsSnapshot) *WireStats {
-	return &WireStats{
-		Inserts:           s.Inserts,
-		Deletes:           s.Deletes,
-		Updates:           s.Updates,
-		Lookups:           s.Lookups,
-		DeclarativeChecks: s.DeclarativeChecks,
-		TriggerFirings:    s.TriggerFirings,
-		IndexLookups:      s.IndexLookups,
-		TuplesScanned:     s.TuplesScanned,
-		VersionLSN:        s.VersionLSN,
+// helloReply is the server's JSON answer to the hello: an acceptance naming
+// the version the connection speaks from the next frame on, or a refusal.
+type helloReply struct {
+	ID      uint64 `json:"id"`
+	OK      bool   `json:"ok"`
+	Code    Code   `json:"code,omitempty"`
+	Error   string `json:"error,omitempty"`
+	Version int    `json:"version,omitempty"`
+}
+
+// decodeHello parses the opening frame and checks the offer. A body that is
+// not a JSON hello, or offers a version below ProtoVersion, is ErrProtocol.
+func decodeHello(body []byte, h *hello) error {
+	if err := json.Unmarshal(body, h); err != nil {
+		return fmt.Errorf("%w: bad hello: %v", ErrProtocol, err)
 	}
-}
-
-func fromWireStats(w *WireStats) engine.StatsSnapshot {
-	if w == nil {
-		return engine.StatsSnapshot{}
+	if h.Op != OpHello {
+		return fmt.Errorf("%w: first frame must be hello, got %q", ErrProtocol, h.Op)
 	}
-	return engine.StatsSnapshot{
-		Inserts:           w.Inserts,
-		Deletes:           w.Deletes,
-		Updates:           w.Updates,
-		Lookups:           w.Lookups,
-		DeclarativeChecks: w.DeclarativeChecks,
-		TriggerFirings:    w.TriggerFirings,
-		IndexLookups:      w.IndexLookups,
-		TuplesScanned:     w.TuplesScanned,
-		VersionLSN:        w.VersionLSN,
+	if h.Version < ProtoVersion {
+		return fmt.Errorf("%w: protocol version %d not supported (server speaks %d)", ErrProtocol, h.Version, ProtoVersion)
 	}
+	return nil
 }
 
-// WireValue is the wire form of relation.Value: a kind tag plus a string
-// payload. Floats travel as hex-encoded IEEE 754 bits rather than JSON
-// numbers so NaN and signed-zero survive the round trip bit-exactly.
-type WireValue struct {
-	T string `json:"t"`           // n | s | i | f | b
-	V string `json:"v,omitempty"` // payload, kind-dependent
-}
-
-// EncodeValue converts an engine value to its wire form.
-func EncodeValue(v relation.Value) WireValue {
-	switch v.Kind() {
-	case relation.KindString:
-		return WireValue{T: "s", V: v.AsString()}
-	case relation.KindInt:
-		return WireValue{T: "i", V: strconv.FormatInt(v.AsInt(), 10)}
-	case relation.KindFloat:
-		return WireValue{T: "f", V: strconv.FormatUint(math.Float64bits(v.AsFloat()), 16)}
-	case relation.KindBool:
-		if v.AsBool() {
-			return WireValue{T: "b", V: "1"}
-		}
-		return WireValue{T: "b", V: "0"}
-	default:
-		return WireValue{T: "n"}
+// checkHelloReply parses the server's answer to the hello: nil for an
+// acceptance of ProtoVersion, the refusal as a *RemoteError, and ErrProtocol
+// for anything else — there is no other codec to fall back to.
+func checkHelloReply(body []byte) error {
+	var r helloReply
+	if err := json.Unmarshal(body, &r); err != nil {
+		return fmt.Errorf("%w: bad hello reply: %v", ErrProtocol, err)
 	}
-}
-
-// DecodeValue converts a wire value back to an engine value.
-func DecodeValue(w WireValue) (relation.Value, error) {
-	switch w.T {
-	case "n":
-		return relation.Null(), nil
-	case "s":
-		return relation.NewString(w.V), nil
-	case "i":
-		n, err := strconv.ParseInt(w.V, 10, 64)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("bad int value %q", w.V)
-		}
-		return relation.NewInt(n), nil
-	case "f":
-		bits, err := strconv.ParseUint(w.V, 16, 64)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("bad float value %q", w.V)
-		}
-		return relation.NewFloat(math.Float64frombits(bits)), nil
-	case "b":
-		switch w.V {
-		case "1":
-			return relation.NewBool(true), nil
-		case "0":
-			return relation.NewBool(false), nil
-		}
-		return relation.Value{}, fmt.Errorf("bad bool value %q", w.V)
-	default:
-		return relation.Value{}, fmt.Errorf("unknown value kind %q", w.T)
+	if !r.OK {
+		return responseError(&Response{Code: r.Code, Error: r.Error})
 	}
-}
-
-// EncodeTuple converts a tuple to its wire form (nil stays nil).
-func EncodeTuple(t relation.Tuple) []WireValue {
-	if t == nil {
-		return nil
+	if r.Version != ProtoVersion {
+		return fmt.Errorf("%w: server answered protocol %d, client speaks only %d", ErrProtocol, r.Version, ProtoVersion)
 	}
-	out := make([]WireValue, len(t))
-	for i, v := range t {
-		out[i] = EncodeValue(v)
+	return nil
+}
+
+// writeHelloReply accepts the hello when err is nil and refuses it with
+// err's code otherwise.
+func writeHelloReply(w io.Writer, id uint64, err error) (int, error) {
+	r := helloReply{ID: id, OK: true, Version: ProtoVersion}
+	if err != nil {
+		r = helloReply{ID: id, Code: CodeOf(err), Error: err.Error()}
 	}
-	return out
+	return writeJSONFrame(w, &r)
 }
 
-// DecodeTuple converts a wire tuple back to an engine tuple (nil stays nil).
-func DecodeTuple(ws []WireValue) (relation.Tuple, error) {
-	if ws == nil {
-		return nil, nil
+// AcceptHello runs the server side of the handshake on a fresh connection:
+// read the client's JSON hello and answer it. On a nil error the connection
+// speaks binary frames from the next frame on; any error has already been
+// answered (best effort) with a refusal, and the caller closes the
+// connection. read and written count the frame bytes moved, prefixes
+// included.
+func AcceptHello(r io.Reader, w io.Writer, maxFrame int) (read, written int, err error) {
+	var h hello
+	body, err := ReadFrame(r, maxFrame)
+	if err == nil {
+		read = 4 + len(body)
+		err = decodeHello(body, &h)
 	}
-	out := make(relation.Tuple, len(ws))
-	for i, w := range ws {
-		v, err := DecodeValue(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	written, werr := writeHelloReply(w, h.ID, err)
+	if err == nil {
+		err = werr
 	}
-	return out, nil
+	return read, written, err
 }
 
-// EncodeOps converts batch ops to their wire form.
-func EncodeOps(ops []engine.BatchOp) ([]WireOp, error) {
-	out := make([]WireOp, len(ops))
-	for i, op := range ops {
-		var kind string
-		switch op.Kind {
-		case engine.BatchInsert:
-			kind = OpInsert
-		case engine.BatchDelete:
-			kind = OpDelete
-		case engine.BatchUpdate:
-			kind = OpUpdate
-		default:
-			return nil, fmt.Errorf("unknown batch kind %d", op.Kind)
-		}
-		out[i] = WireOp{Kind: kind, Relation: op.Relation, Key: EncodeTuple(op.Key), Tuple: EncodeTuple(op.Tuple)}
+// writeJSONFrame writes one length-prefixed JSON frame in a single Write.
+// Only the hello exchange uses it. The body ends in a newline, which keeps
+// the frames byte-identical to earlier releases' hellos; decoders treat it as
+// whitespace.
+func writeJSONFrame(w io.Writer, v any) (int, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return 0, err
 	}
-	return out, nil
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 5+len(body)), uint32(len(body)+1))
+	buf = append(append(buf, body...), '\n')
+	return w.Write(buf)
 }
 
-// DecodeOps converts wire batch ops back to engine batch ops.
-func DecodeOps(ws []WireOp) ([]engine.BatchOp, error) {
-	out := make([]engine.BatchOp, len(ws))
-	for i, w := range ws {
-		var kind engine.BatchKind
-		switch w.Kind {
-		case OpInsert:
-			kind = engine.BatchInsert
-		case OpDelete:
-			kind = engine.BatchDelete
-		case OpUpdate:
-			kind = engine.BatchUpdate
-		default:
-			return nil, fmt.Errorf("unknown batch kind %q", w.Kind)
-		}
-		key, err := DecodeTuple(w.Key)
-		if err != nil {
-			return nil, err
-		}
-		tup, err := DecodeTuple(w.Tuple)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = engine.BatchOp{Kind: kind, Relation: w.Relation, Key: key, Tuple: tup}
-	}
-	return out, nil
-}
-
-// frameEncoder is the pooled per-write scratch: one reusable buffer holding
-// the 4-byte length prefix plus the encoded body, and a json.Encoder bound
-// to it for the v1 path. Both codecs assemble the whole frame here and issue
-// ONE Write, so steady-state serving neither allocates a fresh body per
-// frame (the old json.Marshal) nor copies it into a second framing buffer.
-type frameEncoder struct {
-	buf []byte
-	enc *json.Encoder
-}
-
-// Write appends to the frame buffer; it is the json.Encoder's sink.
-func (fe *frameEncoder) Write(p []byte) (int, error) {
-	fe.buf = append(fe.buf, p...)
-	return len(p), nil
-}
-
+// framePool holds the per-write scratch buffers: each frame is assembled —
+// 4-byte length prefix plus body — in one reusable buffer and issued as ONE
+// Write, so steady-state serving neither allocates a body per frame nor
+// copies it into a second framing buffer.
 var framePool = sync.Pool{New: func() any {
-	fe := &frameEncoder{buf: make([]byte, 0, 512)}
-	fe.enc = json.NewEncoder(fe)
-	return fe
+	b := make([]byte, 0, 512)
+	return &b
 }}
 
 // frameKeepCap bounds what a pooled frame buffer may retain: a rare huge
 // frame should not pin its allocation in the pool forever.
 const frameKeepCap = 64 << 10
 
-// WriteFrame writes one length-prefixed v1 JSON frame: encode into a pooled
-// buffer, one Write. Kept as the v1-only entrypoint (the hello handshake and
-// pre-negotiation peers).
-func WriteFrame(w io.Writer, v any) (int, error) {
-	return WriteFrameVersion(w, ProtoVersion, v)
-}
-
-// WriteFrameVersion writes one length-prefixed frame in the given protocol
-// version's codec. v must be *Request or *Response for the binary codec; the
-// JSON codec takes anything marshalable.
-func WriteFrameVersion(w io.Writer, version int, v any) (int, error) {
-	fe := framePool.Get().(*frameEncoder)
-	fe.buf = append(fe.buf[:0], 0, 0, 0, 0)
+// WriteFrame writes one length-prefixed binary frame; m must be a *Request
+// or a *Response.
+func WriteFrame(w io.Writer, m any) (int, error) {
+	bp := framePool.Get().(*[]byte)
+	buf := append((*bp)[:0], 0, 0, 0, 0)
 	var err error
-	switch version {
-	case ProtoVersion:
-		// Encoder appends a trailing newline; it rides inside the frame as
-		// JSON whitespace, which every decoder tolerates.
-		err = fe.enc.Encode(v)
-	case ProtoVersionBinary:
-		switch m := v.(type) {
-		case *Request:
-			fe.buf, err = appendRequestBinary(fe.buf, m)
-		case *Response:
-			fe.buf, err = appendResponseBinary(fe.buf, m)
-		default:
-			err = fmt.Errorf("binary codec cannot encode %T", v)
-		}
+	switch m := m.(type) {
+	case *Request:
+		buf, err = appendRequest(buf, m)
+	case *Response:
+		buf = appendResponse(buf, m)
 	default:
-		err = fmt.Errorf("unsupported protocol version %d", version)
+		err = fmt.Errorf("binary codec cannot encode %T", m)
 	}
 	if err != nil {
-		framePool.Put(fe)
+		framePool.Put(bp)
 		return 0, err
 	}
-	binary.BigEndian.PutUint32(fe.buf, uint32(len(fe.buf)-4))
-	n, err := w.Write(fe.buf)
-	if cap(fe.buf) <= frameKeepCap {
-		framePool.Put(fe)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	n, err := w.Write(buf)
+	if cap(buf) <= frameKeepCap {
+		*bp = buf
+		framePool.Put(bp)
 	}
 	return n, err
 }
@@ -467,51 +321,22 @@ func ReadFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	return body, nil
 }
 
-// DecodeRequest parses and validates one v1 JSON request frame.
+// DecodeRequest parses one binary request body. Malformed bodies — unknown
+// opcodes or value tags, bad lengths, trailing bytes — are ErrProtocol: the
+// connection fails closed.
 func DecodeRequest(body []byte) (*Request, error) {
-	return DecodeRequestVersion(body, ProtoVersion)
+	req, err := decodeRequest(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad request: %v", ErrProtocol, err)
+	}
+	return req, nil
 }
 
-// DecodeRequestVersion parses and validates one request frame in the given
-// protocol version's codec. Malformed bodies — bad JSON, bad binary, unknown
-// ops, trailing bytes — are all ErrProtocol: the connection fails closed.
-func DecodeRequestVersion(body []byte, version int) (*Request, error) {
-	switch version {
-	case ProtoVersion:
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("%w: bad request JSON: %v", ErrProtocol, err)
-		}
-		if !knownOp(req.Op) {
-			return nil, fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op)
-		}
-		return &req, nil
-	case ProtoVersionBinary:
-		req, err := decodeRequestBinary(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad binary request: %v", ErrProtocol, err)
-		}
-		return req, nil
+// DecodeResponse parses one binary response body.
+func DecodeResponse(body []byte) (*Response, error) {
+	resp, err := decodeResponse(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad response: %v", ErrProtocol, err)
 	}
-	return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
-}
-
-// DecodeResponseVersion parses one response frame in the given protocol
-// version's codec.
-func DecodeResponseVersion(body []byte, version int) (*Response, error) {
-	switch version {
-	case ProtoVersion:
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("%w: bad response JSON: %v", ErrProtocol, err)
-		}
-		return &resp, nil
-	case ProtoVersionBinary:
-		resp, err := decodeResponseBinary(body)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad binary response: %v", ErrProtocol, err)
-		}
-		return resp, nil
-	}
-	return nil, fmt.Errorf("%w: unsupported protocol version %d", ErrProtocol, version)
+	return resp, nil
 }

@@ -5,67 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 )
 
-func TestWireValueRoundTrip(t *testing.T) {
-	values := []relation.Value{
-		relation.Null(),
-		relation.NewString(""),
-		relation.NewString("hello"),
-		relation.NewString("näïve\x00bytes"),
-		relation.NewInt(0),
-		relation.NewInt(-42),
-		relation.NewInt(math.MaxInt64),
-		relation.NewFloat(0),
-		relation.NewFloat(math.Copysign(0, -1)),
-		relation.NewFloat(3.5),
-		relation.NewFloat(math.NaN()),
-		relation.NewFloat(math.Inf(1)),
-		relation.NewBool(true),
-		relation.NewBool(false),
-	}
-	for _, v := range values {
-		got, err := DecodeValue(EncodeValue(v))
-		if err != nil {
-			t.Fatalf("DecodeValue(EncodeValue(%v)): %v", v, err)
-		}
-		if got.Kind() != v.Kind() {
-			t.Fatalf("round trip of %v changed kind: %v", v, got.Kind())
-		}
-		// NaN != NaN, so compare float bits, not values; nulls compare
-		// unequal to everything (SQL semantics), so the kind check above is
-		// the whole comparison for them.
-		if v.Kind() == relation.KindFloat {
-			if math.Float64bits(got.AsFloat()) != math.Float64bits(v.AsFloat()) {
-				t.Fatalf("float bits changed: %x != %x", math.Float64bits(got.AsFloat()), math.Float64bits(v.AsFloat()))
-			}
-		} else if !v.IsNull() && !got.Equal(v) {
-			t.Fatalf("round trip changed %v to %v", v, got)
-		}
-	}
-}
-
-func TestDecodeValueRejectsMalformed(t *testing.T) {
-	bad := []WireValue{
-		{T: "i", V: "not-a-number"},
-		{T: "f", V: "zz"},
-		{T: "b", V: "2"},
-		{T: "x", V: "?"},
-	}
-	for _, w := range bad {
-		if _, err := DecodeValue(w); err == nil {
-			t.Errorf("DecodeValue(%+v) accepted malformed input", w)
-		}
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	req := &Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: EncodeTuple(relation.Tuple{relation.NewString("k")})}
+	req := &Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: relation.Tuple{relation.NewString("k")}}
 	if _, err := WriteFrame(&buf, req); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 7 || got.Op != OpInsert || got.Relation != "R" || len(got.Tuple) != 1 {
+	if got.ID != 7 || got.Op != OpInsert || got.Relation != "R" || len(got.Tuple) != 1 || got.Tuple[0].AsString() != "k" {
 		t.Fatalf("round trip mangled the request: %+v", got)
 	}
 }
@@ -123,18 +71,29 @@ func TestReadFrameFailsClosed(t *testing.T) {
 }
 
 func TestDecodeRequestFailsClosed(t *testing.T) {
+	// A well-formed insert of one string value, then the same bytes with one
+	// field broken at a time.
+	valid := []byte{binOpInsert, 1, 0, 0, 1, 'R', 0, 1, binValString, 1, 'v', 0, 0}
+	if _, err := DecodeRequest(valid); err != nil {
+		t.Fatalf("valid body refused: %v", err)
+	}
+	with := func(i int, b byte) []byte {
+		out := append([]byte{}, valid...)
+		out[i] = b
+		return out
+	}
 	cases := []struct {
 		name string
-		body string
+		body []byte
 	}{
-		{"bad JSON", `{"id":1,`},
-		{"not an object", `[1,2,3]`},
-		{"unknown op", `{"id":1,"op":"drop_table"}`},
-		{"empty op", `{"id":1}`},
+		{"unknown op", with(0, 0x7f)},
+		{"unknown value tag", with(8, 0x06)},
+		{"batch kind not a write", []byte{binOpApplyBatch, 1, 0, 0, 0, 0, 0, 0, 1, binOpFetch, 1, 'R', 0, 0}},
+		{"trailing byte", append(append([]byte{}, valid...), 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeRequest([]byte(tc.body))
+			_, err := DecodeRequest(tc.body)
 			if !errors.Is(err, ErrProtocol) {
 				t.Fatalf("want ErrProtocol, got %v", err)
 			}
@@ -142,21 +101,22 @@ func TestDecodeRequestFailsClosed(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame feeds arbitrary bytes through the frame reader and both
-// request decoders: they must fail closed (error or valid request), never
-// panic — in particular the binary decoder's counts and lengths must be
-// bounds-checked before any allocation sized from them.
+// FuzzReadFrame feeds arbitrary bytes through the frame reader and every
+// decoder that faces untrusted input — the binary request and response
+// decoders and the JSON hello and hello-reply decoders: they must fail closed (error or valid
+// message), never panic — in particular the binary decoder's counts and
+// lengths must be bounds-checked before any allocation sized from them.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	WriteFrame(&seed, &Request{ID: 1, Op: OpPing})
+	writeJSONFrame(&seed, &hello{ID: 1, Op: OpHello, Version: ProtoVersion})
 	f.Add(seed.Bytes())
 	seed.Reset()
-	WriteFrameVersion(&seed, ProtoVersionBinary, &Request{ID: 2, Op: OpInsert, Relation: "R",
-		Tuple: []WireValue{{T: "s", V: "v"}, {T: "i", V: "7"}}})
+	WriteFrame(&seed, &Request{ID: 2, Op: OpInsert, Relation: "R",
+		Tuple: relation.Tuple{relation.NewString("v"), relation.NewInt(7)}})
 	f.Add(seed.Bytes())
 	seed.Reset()
-	WriteFrameVersion(&seed, ProtoVersionBinary, &Request{ID: 3, Op: OpApplyBatch,
-		Ops: []WireOp{{Kind: OpDelete, Relation: "R", Key: []WireValue{{T: "n"}}}}})
+	WriteFrame(&seed, &Request{ID: 3, Op: OpApplyBatch,
+		Ops: []engine.BatchOp{engine.Del("R", relation.Tuple{relation.Null()})}})
 	f.Add(seed.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
@@ -168,20 +128,10 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, version := range []int{ProtoVersion, ProtoVersionBinary} {
-			req, err := DecodeRequestVersion(body, version)
-			if err != nil {
-				continue
-			}
-			// A structurally valid request must still decode its payload
-			// without panicking, whatever the values hold.
-			DecodeTuple(req.Key)
-			DecodeTuple(req.Tuple)
-			DecodeOps(req.Ops)
-			for _, ws := range req.Tuples {
-				DecodeTuple(ws)
-			}
-			DecodeResponseVersion(body, version)
-		}
+		DecodeRequest(body)
+		DecodeResponse(body)
+		var h hello
+		decodeHello(body, &h)
+		checkHelloReply(body)
 	})
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Round-trip the replication request/response shapes through both codecs:
-// the repl fields are additions on top of the frozen v2 layout, so they must
-// survive encode/decode exactly in v1 JSON and v2 binary alike.
+// Round-trip the replication request/response shapes: the repl fields are
+// additions on top of the frozen binary layout, so they must survive
+// encode/decode exactly.
 func TestReplFramesRoundTrip(t *testing.T) {
 	reqs := []*Request{
 		{ID: 7, Op: OpReplSubscribe, AfterLSN: 42, MaxRecords: 512},
@@ -23,40 +23,38 @@ func TestReplFramesRoundTrip(t *testing.T) {
 		{ID: 8, OK: true, Repl: &WireRepl{CommitLSN: 99, Snapshot: []byte("STATE"), SnapshotLSN: 90}},
 		{ID: 9, OK: true, Repl: &WireRepl{CommitLSN: 99}},
 	}
-	for _, version := range []int{ProtoVersion, ProtoVersionBinary} {
-		for _, req := range reqs {
-			var buf bytes.Buffer
-			if _, err := WriteFrameVersion(&buf, version, req); err != nil {
-				t.Fatalf("v%d encode %s: %v", version, req.Op, err)
-			}
-			body, err := ReadFrame(&buf, DefaultMaxFrame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeRequestVersion(body, version)
-			if err != nil {
-				t.Fatalf("v%d decode %s: %v", version, req.Op, err)
-			}
-			if !reflect.DeepEqual(got, req) {
-				t.Fatalf("v%d request round-trip:\ngot  %+v\nwant %+v", version, got, req)
-			}
+	for _, req := range reqs {
+		var buf bytes.Buffer
+		if _, err := WriteFrame(&buf, req); err != nil {
+			t.Fatalf("encode %s: %v", req.Op, err)
 		}
-		for _, resp := range resps {
-			var buf bytes.Buffer
-			if _, err := WriteFrameVersion(&buf, version, resp); err != nil {
-				t.Fatalf("v%d encode response %d: %v", version, resp.ID, err)
-			}
-			body, err := ReadFrame(&buf, DefaultMaxFrame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeResponseVersion(body, version)
-			if err != nil {
-				t.Fatalf("v%d decode response %d: %v", version, resp.ID, err)
-			}
-			if !reflect.DeepEqual(got, resp) {
-				t.Fatalf("v%d response round-trip:\ngot  %+v\nwant %+v", version, got, resp)
-			}
+		body, err := ReadFrame(&buf, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRequest(body)
+		if err != nil {
+			t.Fatalf("decode %s: %v", req.Op, err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("request round-trip:\ngot  %+v\nwant %+v", got, req)
+		}
+	}
+	for _, resp := range resps {
+		var buf bytes.Buffer
+		if _, err := WriteFrame(&buf, resp); err != nil {
+			t.Fatalf("encode response %d: %v", resp.ID, err)
+		}
+		body, err := ReadFrame(&buf, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResponse(body)
+		if err != nil {
+			t.Fatalf("decode response %d: %v", resp.ID, err)
+		}
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("response round-trip:\ngot  %+v\nwant %+v", got, resp)
 		}
 	}
 }

@@ -29,11 +29,6 @@ type Config struct {
 	QueueDepth int
 	// MaxFrame bounds one protocol frame (default DefaultMaxFrame).
 	MaxFrame int
-	// MaxWire is the highest wire protocol version the server negotiates
-	// (default MaxProtoVersion). Setting it to ProtoVersion serves v1 JSON
-	// only — the negotiated version is min(client offer, MaxWire), so v2
-	// clients transparently fall back to JSON against such a server.
-	MaxWire int
 	// CoalesceMax bounds how many queued write requests a worker folds into
 	// one engine batch — one WAL record, one fsync — per dequeue (default
 	// 16; 1 disables coalescing).
@@ -59,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.MaxWire <= 0 || c.MaxWire > MaxProtoVersion {
-		c.MaxWire = MaxProtoVersion
 	}
 	if c.CoalesceMax <= 0 {
 		c.CoalesceMax = 16
@@ -143,12 +135,6 @@ type srvConn struct {
 	s  *Server
 	nc net.Conn
 	br *bufio.Reader // buffered reads: frame prefix + body without per-field syscalls
-
-	// ver is the negotiated wire protocol version. It starts at ProtoVersion
-	// (the hello exchange is always v1 JSON) and is bumped once by the
-	// handshake, before any request is enqueued, so workers observe it
-	// through the queue's happens-before edge without locking.
-	ver int
 
 	rbuf []byte // connection-owned frame read buffer, reused across frames
 
@@ -364,7 +350,6 @@ func (s *Server) handleConn(nc net.Conn) {
 		s:        s,
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
-		ver:      ProtoVersion,
 		inflight: make(map[uint64]struct{}),
 	}
 	s.mu.Lock()
@@ -378,8 +363,14 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.m.connections.Add(1)
 	defer s.m.connections.Add(-1)
 
-	if err := s.handshake(c); err != nil {
-		s.failConn(c, 0, err)
+	// The hello is answered (or refused) before any worker can write to the
+	// connection, so it needs no write lock.
+	read, written, err := AcceptHello(c.br, nc, s.cfg.MaxFrame)
+	s.m.bytesRead.Add(int64(read))
+	s.m.bytesWritten.Add(int64(written))
+	if err != nil {
+		s.m.protocolErrors.Inc()
+		s.cfg.Logf("relmerged: %s: %v", nc.RemoteAddr(), err)
 		s.untrack(c)
 		nc.Close()
 		return
@@ -400,7 +391,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			return
 		}
 		s.m.bytesRead.Add(int64(4 + len(body)))
-		req, err := DecodeRequestVersion(body, c.ver)
+		req, err := DecodeRequest(body)
 		if err != nil {
 			s.failConn(c, 0, err)
 			s.untrack(c)
@@ -444,37 +435,6 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// handshake runs the version negotiation: the client's hello (always v1
-// JSON) offers its highest version, the server answers min(offer, MaxWire)
-// (also in JSON), and the connection speaks the agreed codec from the next
-// frame on. An offer below 1 is garbage and fails only this connection.
-func (s *Server) handshake(c *srvConn) error {
-	body, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	s.m.bytesRead.Add(int64(4 + len(body)))
-	req, err := DecodeRequest(body)
-	if err != nil {
-		return err
-	}
-	if req.Op != OpHello {
-		return fmt.Errorf("%w: first frame must be hello, got %q", ErrProtocol, req.Op)
-	}
-	if req.Version < ProtoVersion {
-		return fmt.Errorf("%w: protocol version %d not supported (server speaks %d-%d)", ErrProtocol, req.Version, ProtoVersion, s.cfg.MaxWire)
-	}
-	negotiated := req.Version
-	if negotiated > s.cfg.MaxWire {
-		negotiated = s.cfg.MaxWire
-	}
-	if err := c.send(&Response{ID: req.ID, OK: true, Version: negotiated}); err != nil {
-		return err
-	}
-	c.ver = negotiated
-	return nil
-}
-
 // failConn records a protocol violation, best-effort answers it, and lets
 // the caller close the connection. Only this connection is affected.
 func (s *Server) failConn(c *srvConn, id uint64, err error) {
@@ -495,15 +455,13 @@ func (c *srvConn) clearID(id uint64) {
 	c.mu.Unlock()
 }
 
-// send writes one response frame in the connection's negotiated codec.
-// Write errors are swallowed: the reader side notices the dead connection
-// and tears it down.
-func (c *srvConn) send(resp *Response) error {
+// send writes one response frame. Write errors are swallowed: the reader
+// side notices the dead connection and tears it down.
+func (c *srvConn) send(resp *Response) {
 	c.wmu.Lock()
-	n, err := WriteFrameVersion(c.nc, c.ver, resp)
+	n, _ := WriteFrame(c.nc, resp)
 	c.wmu.Unlock()
 	c.s.m.bytesWritten.Add(int64(n))
-	return err
 }
 
 func (s *Server) worker() {
@@ -580,91 +538,40 @@ func (s *Server) executeWrites(batch []*task) {
 		return
 	}
 	var ops []engine.BatchOp
-	merged := live[:0]
 	for _, t := range live {
-		decoded, err := decodeWriteOps(t.req)
-		if err != nil {
-			// Undecodable member: answer it, coalesce the rest.
-			s.finish(t, errorResponse(t.req.ID, err))
-			continue
-		}
-		ops = append(ops, decoded...)
-		merged = append(merged, t)
-	}
-	if len(merged) == 0 {
-		return
+		ops = appendWriteOps(ops, t.req)
 	}
 	if err := s.db.ApplyBatchCtx(s.baseCtx, ops); err == nil {
 		s.m.coalescedBatch.Inc()
-		s.m.coalescedWrites.Add(int64(len(merged)))
-		for _, t := range merged {
+		s.m.coalescedWrites.Add(int64(len(live)))
+		for _, t := range live {
 			s.finish(t, &Response{OK: true})
 		}
 		return
 	}
 	// The combined batch aborted atomically (no effects survive), so per-
 	// request execution observes the same starting state.
-	for _, t := range merged {
+	for _, t := range live {
 		s.finish(t, s.dispatch(t))
 	}
 }
 
-// decodeWriteOps lowers one write request to engine batch ops.
-func decodeWriteOps(req *Request) ([]engine.BatchOp, error) {
+// appendWriteOps lowers one write request to engine batch ops.
+func appendWriteOps(ops []engine.BatchOp, req *Request) []engine.BatchOp {
 	switch req.Op {
 	case OpInsert:
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Ins(req.Relation, tup)}, nil
+		return append(ops, engine.Ins(req.Relation, req.Tuple))
 	case OpDelete:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Del(req.Relation, key)}, nil
+		return append(ops, engine.Del(req.Relation, req.Key))
 	case OpUpdate:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return []engine.BatchOp{engine.Upd(req.Relation, key, tup)}, nil
+		return append(ops, engine.Upd(req.Relation, req.Key, req.Tuple))
 	case OpInsertBatch:
-		out := make([]engine.BatchOp, 0, len(req.Tuples))
-		for _, wt := range req.Tuples {
-			tup, err := DecodeTuple(wt)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-			}
-			out = append(out, engine.Ins(req.Relation, tup))
+		for _, tup := range req.Tuples {
+			ops = append(ops, engine.Ins(req.Relation, tup))
 		}
-		return out, nil
-	case OpApplyBatch:
-		ops, err := DecodeOps(req.Ops)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
-		}
-		return ops, nil
+		return ops
 	}
-	return nil, fmt.Errorf("%w: %q is not a write op", ErrProtocol, req.Op)
-}
-
-// decodeTuples decodes an insert_batch payload.
-func decodeTuples(ws [][]WireValue) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(ws))
-	for i, w := range ws {
-		t, err := DecodeTuple(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
+	return append(ops, req.Ops...) // apply_batch
 }
 
 // deadlineError maps a context error to the wire's deadline/cancel sentinel.
@@ -683,61 +590,33 @@ func (s *Server) dispatch(t *task) *Response {
 	case OpPing:
 		return &Response{OK: true}
 	case OpInsert:
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.InsertCtx(t.ctx, req.Relation, tup); err != nil {
+		if err := s.db.InsertCtx(t.ctx, req.Relation, req.Tuple); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 	case OpDelete:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.DeleteCtx(t.ctx, req.Relation, key); err != nil {
+		if err := s.db.DeleteCtx(t.ctx, req.Relation, req.Key); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 	case OpUpdate:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		tup, err := DecodeTuple(req.Tuple)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.UpdateCtx(t.ctx, req.Relation, key, tup); err != nil {
+		if err := s.db.UpdateCtx(t.ctx, req.Relation, req.Key, req.Tuple); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 	case OpFetch:
-		key, err := DecodeTuple(req.Key)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		tup, ok, err := s.db.GetByKeyCtx(t.ctx, req.Relation, key)
+		tup, ok, err := s.db.GetByKeyCtx(t.ctx, req.Relation, req.Key)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Found: ok, Tuple: EncodeTuple(tup)}
+		return &Response{OK: true, Found: ok, Tuple: tup}
 	case OpInsertBatch:
-		ts, err := decodeTuples(req.Tuples)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.InsertBatchCtx(t.ctx, req.Relation, ts); err != nil {
+		if err := s.db.InsertBatchCtx(t.ctx, req.Relation, req.Tuples); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
 	case OpApplyBatch:
-		ops, err := DecodeOps(req.Ops)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrProtocol, err))
-		}
-		if err := s.db.ApplyBatchCtx(t.ctx, ops); err != nil {
+		if err := s.db.ApplyBatchCtx(t.ctx, req.Ops); err != nil {
 			return fail(err)
 		}
 		return &Response{OK: true}
@@ -757,7 +636,8 @@ func (s *Server) dispatch(t *task) *Response {
 		}
 		return &Response{OK: true}
 	case OpStats:
-		return &Response{OK: true, Stats: toWireStats(s.db.StatsTotals())}
+		st := s.db.StatsTotals()
+		return &Response{OK: true, Stats: &st}
 	case OpCheckpoint:
 		if err := s.db.Checkpoint(); err != nil {
 			return fail(err)

@@ -54,10 +54,12 @@ func startServer(t *testing.T, cfg Config, engOpts ...engine.Option) (*Server, s
 	return srv, ln.Addr().String()
 }
 
-// rawConn is a hand-driven protocol connection for abuse tests.
+// rawConn is a hand-driven protocol connection for abuse tests. Replies are
+// JSON until a hello is accepted and binary from then on.
 type rawConn struct {
-	t  *testing.T
-	nc net.Conn
+	t      *testing.T
+	nc     net.Conn
+	binary bool
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -78,6 +80,13 @@ func (c *rawConn) send(req *Request) {
 	}
 }
 
+func (c *rawConn) sendHello(version int) {
+	c.t.Helper()
+	if _, err := writeJSONFrame(c.nc, &hello{ID: 1, Op: OpHello, Version: version}); err != nil {
+		c.t.Fatalf("writing hello: %v", err)
+	}
+}
+
 func (c *rawConn) sendRaw(frame []byte) {
 	c.t.Helper()
 	if _, err := c.nc.Write(frame); err != nil {
@@ -90,16 +99,19 @@ func (c *rawConn) recv() (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if c.binary {
+		return DecodeResponse(body)
+	}
+	var r helloReply
+	if err := json.Unmarshal(body, &r); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return &Response{ID: r.ID, OK: r.OK, Code: r.Code, Error: r.Error, Version: r.Version}, nil
 }
 
 func (c *rawConn) hello() {
 	c.t.Helper()
-	c.send(&Request{ID: 1, Op: OpHello, Version: ProtoVersion})
+	c.sendHello(ProtoVersion)
 	resp, err := c.recv()
 	if err != nil {
 		c.t.Fatalf("handshake: %v", err)
@@ -107,6 +119,7 @@ func (c *rawConn) hello() {
 	if !resp.OK || resp.Version != ProtoVersion {
 		c.t.Fatalf("handshake refused: %+v", resp)
 	}
+	c.binary = true
 }
 
 // drainResponses reads frames until the server closes the connection,
@@ -154,21 +167,22 @@ func TestProtocolViolationsFailClosed(t *testing.T) {
 			c.sendRaw(append(frameWithLength(100), 'x', 'y', 'z'))
 			c.nc.(*net.TCPConn).CloseWrite()
 		}},
-		{"bad JSON", func(c *rawConn) {
+		{"malformed binary body", func(c *rawConn) {
 			c.hello()
-			body := []byte(`{"id":2,"op":`)
+			body := []byte{binOpInsert, 2, 0} // cut off after the deadline
 			c.sendRaw(append(frameWithLength(uint32(len(body))), body...))
 		}},
 		{"unknown op", func(c *rawConn) {
 			c.hello()
-			c.send(&Request{ID: 2, Op: "drop_table"})
+			body := []byte{0x7f, 2, 0, 0, 0, 0, 0, 0, 0}
+			c.sendRaw(append(frameWithLength(uint32(len(body))), body...))
 		}},
 		{"repeated hello", func(c *rawConn) {
 			c.hello()
 			c.send(&Request{ID: 2, Op: OpHello, Version: ProtoVersion})
 		}},
 		{"hello version garbage", func(c *rawConn) {
-			c.send(&Request{ID: 1, Op: OpHello, Version: 0})
+			c.sendHello(0)
 		}},
 		{"first frame not hello", func(c *rawConn) {
 			c.send(&Request{ID: 1, Op: OpPing})
@@ -177,8 +191,8 @@ func TestProtocolViolationsFailClosed(t *testing.T) {
 			c.hello()
 			// The first insert simulates 20ms of storage access, so it is
 			// still in flight when the duplicate arrives.
-			c.send(&Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: EncodeTuple(row("dup", "v"))})
-			c.send(&Request{ID: 7, Op: OpFetch, Relation: "R", Key: EncodeTuple(key("dup"))})
+			c.send(&Request{ID: 7, Op: OpInsert, Relation: "R", Tuple: row("dup", "v")})
+			c.send(&Request{ID: 7, Op: OpFetch, Relation: "R", Key: key("dup")})
 		}},
 	}
 	for _, tc := range cases {
@@ -229,7 +243,7 @@ func TestAdmissionControl(t *testing.T) {
 	const n = 8
 	for i := 0; i < n; i++ {
 		c.send(&Request{ID: uint64(10 + i), Op: OpInsert, Relation: "R",
-			Tuple: EncodeTuple(row(fmt.Sprintf("k%d", i), "v"))})
+			Tuple: row(fmt.Sprintf("k%d", i), "v")})
 	}
 	var ok, overloaded int
 	for i := 0; i < n; i++ {
@@ -529,11 +543,12 @@ func TestStatsAndPing(t *testing.T) {
 }
 
 // TestFrameEncodingStable pins the frame layout: 4-byte big-endian length
-// prefix followed by the JSON body, so independent client implementations
+// prefix followed by the binary body, so independent client implementations
 // can rely on it.
 func TestFrameEncodingStable(t *testing.T) {
+	req := &Request{ID: 1, Op: OpPing}
 	var buf bytes.Buffer
-	n, err := WriteFrame(&buf, &Request{ID: 1, Op: OpPing})
+	n, err := WriteFrame(&buf, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +559,11 @@ func TestFrameEncodingStable(t *testing.T) {
 	if got := binary.BigEndian.Uint32(raw[:4]); int(got) != len(raw)-4 {
 		t.Fatalf("length prefix %d, body %d", got, len(raw)-4)
 	}
-	if !json.Valid(raw[4:]) {
-		t.Fatal("frame body is not valid JSON")
+	body, err := appendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw[4:], body) {
+		t.Fatalf("frame body %x, want the binary encoding %x", raw[4:], body)
 	}
 }

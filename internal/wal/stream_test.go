@@ -218,21 +218,47 @@ func TestCorruptSnapshotRefusesStaleFallback(t *testing.T) {
 	}
 }
 
-// Legacy footer-less snapshots (written before the integrity framing) must
-// keep loading unchanged.
-func TestLegacySnapshotLoads(t *testing.T) {
+// A footer-less snapshot without the magic header (the format before the
+// integrity framing) is corrupt like any other unverifiable file: recovery
+// falls back to an older verified snapshot whose segments reach its LSN, and
+// refuses when there is none.
+func TestLegacySnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, fmt.Sprintf("%020d%s", 5, snapSuffix))
-	if err := os.WriteFile(path, []byte("LEGACY"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%020d%s", 5, snapSuffix)), []byte("LEGACY"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec := reopen(t, dir, Options{})
-	defer l.Close()
-	if string(rec.Snapshot) != "LEGACY" || rec.SnapshotLSN != 5 {
-		t.Fatalf("legacy snapshot loaded as %q at LSN %d", rec.Snapshot, rec.SnapshotLSN)
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Open over a lone legacy snapshot = %v, want ErrSnapshotCorrupt", err)
 	}
-	if l.LSN() != 5 {
-		t.Fatalf("LSN = %d, want 5", l.LSN())
+
+	dir = t.TempDir()
+	l, _, err := Open(dir, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Commit([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint([]byte("SNAP-A")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Commit([]byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%020d%s", 2, snapSuffix)), []byte("LEGACY"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := reopen(t, dir, Options{})
+	defer l2.Close()
+	if string(rec.Snapshot) != "SNAP-A" || rec.SnapshotLSN != 1 || rec.CorruptSnapshots != 1 {
+		t.Fatalf("recovered from %q at LSN %d (%d corrupt), want SNAP-A at 1 past one corrupt snapshot",
+			rec.Snapshot, rec.SnapshotLSN, rec.CorruptSnapshots)
+	}
+	if got := payloads(rec); !equalStrings(got, []string{"b"}) || l2.LSN() != 2 {
+		t.Fatalf("replayed %v to LSN %d, want [b] to LSN 2", got, l2.LSN())
 	}
 }
 
@@ -474,9 +500,8 @@ func TestCommitShippedRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// A new-format snapshot truncated inside its magic header is corrupt, not a
-// legacy footer-less snapshot: the prefix proves the writer intended the
-// framed format and the crash ate the rest.
+// A snapshot shorter than its magic header is corrupt, whether the crash cut
+// it inside the header or its bytes are not a header at all.
 func TestTruncatedSnapshotHeaderIsCorrupt(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -484,6 +509,7 @@ func TestTruncatedSnapshotHeaderIsCorrupt(t *testing.T) {
 	}{
 		{"mid-magic", []byte(snapMagic[:5])},
 		{"empty", nil},
+		{"short, not a magic prefix", []byte("LEG")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -497,17 +523,6 @@ func TestTruncatedSnapshotHeaderIsCorrupt(t *testing.T) {
 		})
 	}
 
-	// A short file that is NOT a magic prefix is still a legacy snapshot.
-	dir := t.TempDir()
-	path := filepath.Join(dir, fmt.Sprintf("%020d%s", 3, snapSuffix))
-	if err := os.WriteFile(path, []byte("LEG"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, rec := reopen(t, dir, Options{})
-	defer l.Close()
-	if string(rec.Snapshot) != "LEG" || rec.SnapshotLSN != 3 {
-		t.Fatalf("short legacy snapshot loaded as %q at LSN %d", rec.Snapshot, rec.SnapshotLSN)
-	}
 }
 
 // ReadCommitted must return the same records whether or not segments below

@@ -13,11 +13,11 @@ import (
 )
 
 // scriptedServer speaks just enough of the wire protocol to exercise the
-// remote client's retry machinery: it answers the hello handshake honestly
-// and hands every other request to a per-test script, counting attempts per
-// op so tests can assert exactly how many times the client really asked.
-// Returning nil from the script closes the connection mid-request,
-// simulating a transport failure.
+// remote client's retry machinery: it answers the JSON hello honestly and
+// hands every binary request after it to a per-test script, counting
+// attempts per op so tests can assert exactly how many times the client
+// really asked. Returning nil from the script closes the connection
+// mid-request, simulating a transport failure.
 type scriptedServer struct {
 	ln     net.Listener
 	mu     sync.Mutex
@@ -47,6 +47,9 @@ func newScriptedServer(t *testing.T, script func(attempt int, req *server.Reques
 
 func (s *scriptedServer) handle(nc net.Conn) {
 	defer nc.Close()
+	if _, _, err := server.AcceptHello(nc, nc, server.DefaultMaxFrame); err != nil {
+		return
+	}
 	for {
 		body, err := server.ReadFrame(nc, server.DefaultMaxFrame)
 		if err != nil {
@@ -55,12 +58,6 @@ func (s *scriptedServer) handle(nc net.Conn) {
 		req, err := server.DecodeRequest(body)
 		if err != nil {
 			return
-		}
-		if req.Op == server.OpHello {
-			if _, err := server.WriteFrame(nc, &server.Response{ID: req.ID, OK: true, Version: server.ProtoVersion}); err != nil {
-				return
-			}
-			continue
 		}
 		s.mu.Lock()
 		s.counts[req.Op]++
