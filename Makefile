@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test bench-test fuzz-short probe bench benchjson
+.PHONY: check fmt vet metriclint build test race stress crash serve-test shard-test proto-test repl-test advise-test bench-test fuzz-short probe bench benchjson loc
 
 ## check: the full CI gate — formatting, vet, metric-name lint, build, tests under the race detector, concurrency stress, crash recovery, client/server serving, shard routing, wire protocol (hello + golden vectors + short fuzz), replication, adaptive merging, the benchmark module's vet and tests, and the quick probes (read-under-write + cross-shard IND)
 check: fmt vet metriclint build race stress crash serve-test shard-test proto-test repl-test advise-test bench-test probe
@@ -74,3 +74,7 @@ bench:
 ## benchjson: regenerate the machine-readable perf report committed as BENCH_PR10.json
 benchjson:
 	$(GO) run ./cmd/benchreport -json BENCH_PR10.json
+
+## loc: count the non-test Go lines outside perfbench/ and .bench_build/ — the size figure ROADMAP tracks from change to change (informational, not a gate)
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l

@@ -512,7 +512,7 @@ func maintenanceProfile() ([]maintenanceRow, error) {
 		return nil, fmt.Errorf("benchreport: replaying fig. 3 into the merged engine: %w", err)
 	}
 	row := func(name string, db *engine.DB) maintenanceRow {
-		st := db.Stats.Snapshot()
+		st := db.Stats()
 		return maintenanceRow{
 			DB:                name,
 			Inserts:           st.Inserts,

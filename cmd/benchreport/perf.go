@@ -20,15 +20,14 @@ func runP1(rows int) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b, err := workload.NewBench(workload.StarEER(n), "E0", rows, int64(41+n))
 		must(err)
-		b.Base.Stats.Reset()
-		b.Merged.Stats.Reset()
+		base0, merged0 := b.Base.Stats(), b.Merged.Stats()
 		for _, k := range b.Keys {
 			b.ProfileBase(k)
 			b.ProfileMerged(k)
 		}
 		q := float64(len(b.Keys))
-		base := float64(b.Base.Stats.IndexLookups()) / q
-		merged := float64(b.Merged.Stats.IndexLookups()) / q
+		base := float64(b.Base.Stats().Sub(base0).IndexLookups) / q
+		merged := float64(b.Merged.Stats().Sub(merged0).IndexLookups) / q
 		fmt.Printf("%-6d %-18.1f %-18.1f %.1fx\n", n, base, merged, base/merged)
 	}
 	fmt.Println("\npaper's claim: merging reduces the need for joining relations; the base")
@@ -58,14 +57,14 @@ func runP2(rows int) {
 	} {
 		b, err := c.mk()
 		must(err)
-		b.Merged.Stats.Reset()
+		before := b.Merged.Stats()
 		done := 0
 		for i := 0; i < inserts; i++ {
 			if err := b.InsertMergedRow(); err == nil {
 				done++
 			}
 		}
-		st := b.Merged.Stats.Snapshot()
+		st := b.Merged.Stats().Sub(before)
 		fmt.Printf("%-22s %-10d %-22.1f %-16.1f\n", c.label, done,
 			float64(st.DeclarativeChecks)/float64(done),
 			float64(st.TriggerFirings)/float64(done))

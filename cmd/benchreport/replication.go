@@ -188,7 +188,8 @@ func (n *replNode) close() {
 func replCell(replicas int, nodes []*replNode) (replRow, error) {
 	sessions := make([]relmerge.Session, len(nodes))
 	for i, n := range nodes {
-		sess, err := relmerge.Dial(n.addr, relmerge.WithPoolSize(replClients))
+		sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Remote, Addr: n.addr,
+			RemoteOptions: []relmerge.RemoteOption{relmerge.WithPoolSize(replClients)}})
 		if err != nil {
 			return replRow{}, fmt.Errorf("benchreport: replication dial: %w", err)
 		}
@@ -329,7 +330,7 @@ func replFailoverProbe(dir string) (*replFailover, error) {
 	}
 	defer f.Close()
 
-	sess, err := relmerge.Dial(addr)
+	sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Remote, Addr: addr})
 	if err != nil {
 		srv.Close()
 		return nil, err

@@ -115,7 +115,8 @@ func servingSuite() ([]servingRow, map[string]float64, *servingCrash, error) {
 		go srv.Serve(ln)
 		err = func() error {
 			for _, clients := range servingClients {
-				sess, err := relmerge.Dial(ln.Addr().String(), relmerge.WithPoolSize(clients))
+				sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Remote, Addr: ln.Addr().String(),
+					RemoteOptions: []relmerge.RemoteOption{relmerge.WithPoolSize(clients)}})
 				if err != nil {
 					return fmt.Errorf("benchreport: serving dial (%s): %w", pol.Name, err)
 				}
@@ -226,7 +227,7 @@ func servingCrashProbe() (*servingCrash, error) {
 		return nil, err
 	}
 	go srv.Serve(ln)
-	sess, err := relmerge.Dial(ln.Addr().String())
+	sess, err := relmerge.Open(relmerge.Config{Backend: relmerge.Remote, Addr: ln.Addr().String()})
 	if err != nil {
 		return nil, err
 	}

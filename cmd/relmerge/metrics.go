@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fd"
 	"repro/internal/figures"
 	"repro/internal/nullcon"
@@ -41,43 +40,6 @@ func replayState(s *schema.Schema, dataPath string, fig3 bool) (*state.DB, error
 	return state.Generate(s, rand.New(rand.NewSource(1)), state.GenOptions{Rows: 16})
 }
 
-// reconciliation compares one engine's registry series against its Stats
-// counters; the two are kept in lockstep by the engine, so any mismatch is a
-// bug worth surfacing in the report. The comparison uses Stats.Totals() —
-// the monotonic process-lifetime counters — rather than the windowed
-// accessors, so a Stats.Reset() in the middle of a run (a benchmark starting
-// a fresh measurement window, say) cannot drift the report: registry series
-// never rewind, and neither do the totals.
-type reconciliation struct {
-	DB         string `json:"db"`
-	Reconciled bool   `json:"reconciled"`
-}
-
-func reconcile(reg *obs.Registry, db *engine.DB) reconciliation {
-	totals := db.Stats.Totals()
-	want := map[string]int{
-		"engine.inserts":            totals.Inserts,
-		"engine.deletes":            totals.Deletes,
-		"engine.updates":            totals.Updates,
-		"engine.lookups":            totals.Lookups,
-		"engine.declarative_checks": totals.DeclarativeChecks,
-		"engine.trigger_firings":    totals.TriggerFirings,
-		"engine.index_lookups":      totals.IndexLookups,
-		"engine.tuples_scanned":     totals.TuplesScanned,
-	}
-	ok := true
-	for _, p := range reg.Snapshot() {
-		w, tracked := want[p.Name]
-		if !tracked || p.Labels["db"] != db.MetricName() {
-			continue
-		}
-		if int(p.Value) != w {
-			ok = false
-		}
-	}
-	return reconciliation{DB: db.MetricName(), Reconciled: ok}
-}
-
 // durableStatus reports one durable engine's lifecycle for the report: what
 // Open recovered and that the replay was checkpointed.
 type durableStatus struct {
@@ -90,7 +52,7 @@ type durableStatus struct {
 
 // metricsReport replays st into both physical designs — the original schema
 // and the merged one, sharing a single registry under db=base / db=merged
-// labels — then writes the combined metrics, span, and reconciliation report.
+// labels — then writes the combined metrics and span report.
 // With durableDir set both engines write-ahead log under it (base/ and
 // merged/) at the given fsync policy and the replay ends in a checkpoint; a
 // directory holding a previous run's log is recovered instead of replayed.
@@ -146,8 +108,9 @@ func metricsReport(w io.Writer, s *schema.Schema, m *core.MergedScheme, st *stat
 	}
 	var durables []durableStatus
 	if durableDir != "" {
-		for _, e := range []*engine.DB{base, merged} {
-			if err := relmerge.NewSession(e).Checkpoint(); err != nil {
+		for _, sess := range []*relmerge.EmbeddedSession{baseSess, mergedSess} {
+			e := sess.Engine()
+			if err := sess.Checkpoint(); err != nil {
 				return fmt.Errorf("relmerge: checkpointing the %s engine: %w", e.MetricName(), err)
 			}
 			durables = append(durables, durableStatus{
@@ -160,7 +123,6 @@ func metricsReport(w io.Writer, s *schema.Schema, m *core.MergedScheme, st *stat
 		}
 	}
 
-	recs := []reconciliation{reconcile(reg, base), reconcile(reg, merged)}
 	switch mode {
 	case "json":
 		type span struct {
@@ -170,11 +132,10 @@ func metricsReport(w io.Writer, s *schema.Schema, m *core.MergedScheme, st *stat
 			Attrs    map[string]string `json:"attrs,omitempty"`
 		}
 		doc := struct {
-			Metrics    []obs.Point      `json:"metrics"`
-			Spans      []span           `json:"spans,omitempty"`
-			Reconcile  []reconciliation `json:"reconcile"`
-			Durability []durableStatus  `json:"durability,omitempty"`
-		}{Metrics: reg.Snapshot(), Reconcile: recs, Durability: durables}
+			Metrics    []obs.Point     `json:"metrics"`
+			Spans      []span          `json:"spans,omitempty"`
+			Durability []durableStatus `json:"durability,omitempty"`
+		}{Metrics: reg.Snapshot(), Durability: durables}
 		if tracer != nil {
 			for _, ev := range tracer.Events() {
 				doc.Spans = append(doc.Spans, span{Name: ev.Name, Depth: ev.Depth, Duration: ev.Duration, Attrs: ev.Attrs})
@@ -198,9 +159,6 @@ func metricsReport(w io.Writer, s *schema.Schema, m *core.MergedScheme, st *stat
 			for _, ev := range tracer.Events() {
 				fmt.Fprintf(w, "span %s depth=%d duration=%s\n", ev.Name, ev.Depth, ev.Duration)
 			}
-		}
-		for _, r := range recs {
-			fmt.Fprintf(w, "reconcile{db=%q} %v\n", r.DB, r.Reconciled)
 		}
 		for _, d := range durables {
 			fmt.Fprintf(w, "durable{db=%q,policy=%q} recovered=%v replayed_ops=%d checkpointed=%v\n",

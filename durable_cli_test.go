@@ -24,7 +24,6 @@ func TestRelmergeCLIDurableRecovery(t *testing.T) {
 		`durable{db="base",policy="always"} recovered=false`,
 		`durable{db="merged",policy="always"} recovered=false`,
 		`wal.checkpoints{wal="base"} 1`,
-		`reconcile{db="base"} true`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("first run missing %q in:\n%s", want, out)

@@ -82,10 +82,9 @@ func main() {
 		Root: "EVENT", Key: eventKey,
 		Want: []string{"E.ID", "H.V.NAME", "R.OG.ID", "BK.SP.NAME"},
 	}
-	baseDB.Stats.Reset()
+	base0, merged0 := baseDB.Stats(), mergedDB.Stats()
 	a, err := basePlanner.Answer(q)
 	check(err)
-	mergedDB.Stats.Reset()
 	b, err := mergedPlanner.Answer(q)
 	check(err)
 
@@ -94,7 +93,8 @@ func main() {
 		fmt.Printf("  %-12s base=%-14v merged=%-14v agree=%v\n",
 			attr, a[attr], b[attr], a[attr].Identical(b[attr]) || (a[attr].IsNull() && b[attr].IsNull()))
 	}
-	fmt.Printf("lookups: base=%d merged=%d\n", baseDB.Stats.Lookups(), mergedDB.Stats.Lookups())
+	fmt.Printf("lookups: base=%d merged=%d\n",
+		baseDB.Stats().Sub(base0).Lookups, mergedDB.Stats().Sub(merged0).Lookups)
 }
 
 func check(err error) {

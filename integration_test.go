@@ -136,8 +136,7 @@ func TestLibraryPipeline(t *testing.T) {
 	}
 
 	// 7. The merged engine costs one lookup per profile vs. four.
-	baseDB.Stats.Reset()
-	mergedDB.Stats.Reset()
+	base0, merged0 := baseDB.Stats(), mergedDB.Stats()
 	for _, bk := range books.Tuples() {
 		key := relation.Tuple{bk[0]}
 		for _, member := range []string{"BOOK", "HELD", "LOANED", "ISSUED"} {
@@ -145,8 +144,10 @@ func TestLibraryPipeline(t *testing.T) {
 		}
 		mergedDB.GetByKey("BOOK+", key)
 	}
-	if mergedDB.Stats.IndexLookups()*4 != baseDB.Stats.IndexLookups() {
-		t.Errorf("lookups: base %d, merged %d", baseDB.Stats.IndexLookups(), mergedDB.Stats.IndexLookups())
+	baseLookups := baseDB.Stats().Sub(base0).IndexLookups
+	mergedLookups := mergedDB.Stats().Sub(merged0).IndexLookups
+	if mergedLookups*4 != baseLookups {
+		t.Errorf("lookups: base %d, merged %d", baseLookups, mergedLookups)
 	}
 
 	// 8. Persistence round trip of the merged engine.

@@ -96,10 +96,8 @@ type binding struct {
 // for the locking discipline.
 type DB struct {
 	Schema *schema.Schema
-	// Stats accumulates the cost counters atomically; reads never block
-	// operations and operations never block on stats.
-	Stats Stats
-	// reg/obsName/m back the Stats fields with registry series (metrics.go).
+	// reg/obsName/m hold the cost counters and latency histograms as
+	// registry series (metrics.go); Stats reads them.
 	reg     *obs.Registry
 	obsName string
 	m       *dbMetrics
@@ -127,10 +125,6 @@ type DB struct {
 	lastPublish atomic.Int64
 	// lm holds the precomputed per-operation lock plans (locks.go).
 	lm *lockManager
-	// lockAcq counts lock-plan acquisitions for the engine's lifetime (it
-	// lives on the DB, not the lock manager, so a migration's fresh lock
-	// plans never reset it).
-	lockAcq atomic.Uint64
 	// indsFrom/indsInto index the schema's inclusion dependencies by side.
 	indsFrom map[string][]schema.IND
 	indsInto map[string][]schema.IND
@@ -485,7 +479,7 @@ func (db *DB) insertLocked(tx *writeTx, t *table, tup relation.Tuple, eff *effec
 		return err
 	}
 	eff.apply(tx, t, tup)
-	tx.countInsert()
+	tx.count(db.m.inserts)
 	return nil
 }
 
@@ -495,14 +489,14 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error 
 	name := t.rs.Name
 	// NOT NULL.
 	for i, a := range t.rs.AttrNames() {
-		tx.countDecl()
+		tx.count(db.m.declChecks)
 		if db.nnaAttrs[name][a] && tup[i].IsNull() {
 			return db.violation(&ConstraintViolation{Kind: NotNullViolation, Relation: name, Attr: a, Op: "insert"})
 		}
 	}
 	// PRIMARY KEY uniqueness (all nulls identical, per section 5.1).
-	tx.countDecl()
-	tx.countIdx()
+	tx.count(db.m.declChecks)
+	tx.count(db.m.indexLookups)
 	if _, dup := tx.pkGet(t, t.keyOfIncoming(tup)); dup {
 		return db.violation(&ConstraintViolation{Kind: PrimaryKeyViolation, Relation: name, Op: "insert"})
 	}
@@ -514,12 +508,12 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error 
 		if !ind.KeyBased(db.Schema) {
 			continue // handled by triggers
 		}
-		tx.countDecl()
+		tx.count(db.m.declChecks)
 		fk := projectAttrs(t, tup, ind.LeftAttrs)
 		if !fk.IsTotal() {
 			continue // null foreign keys are exempt
 		}
-		tx.countIdx()
+		tx.count(db.m.indexLookups)
 		if _, ok := tx.pkGet(target, orderAsKey(target, ind.RightAttrs, fk)); !ok {
 			hit, err := db.probeReferenced(ind, orderAsKey(target, ind.RightAttrs, fk))
 			if err != nil {
@@ -540,7 +534,7 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error 
 func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) error {
 	name := t.rs.Name
 	for _, nc := range db.procNulls[name] {
-		tx.countTrig()
+		tx.count(db.m.triggerFirings)
 		probe := relation.New(t.rs.AttrNames()...)
 		probe.Add(tup)
 		if !nc.Satisfied(probe) {
@@ -551,12 +545,12 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 		if ind.KeyBased(db.Schema) {
 			continue
 		}
-		tx.countTrig()
+		tx.count(db.m.triggerFirings)
 		fk := projectAttrs(t, tup, ind.LeftAttrs)
 		if !fk.IsTotal() {
 			continue
 		}
-		tx.countIdx()
+		tx.count(db.m.indexLookups)
 		if len(tx.bucket(db.tables[ind.Right], secondaryKey(ind.RightAttrs), fk.EncodeKey())) == 0 {
 			hit, err := db.probeReferenced(ind, fk.EncodeKey())
 			if err != nil {

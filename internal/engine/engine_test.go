@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,6 +29,13 @@ func tup(vals ...any) relation.Tuple {
 		}
 	}
 	return out
+}
+
+func mustInsert(t *testing.T, db *DB, name string, tp relation.Tuple) {
+	t.Helper()
+	if err := db.Insert(name, tp); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func openFig3(t *testing.T) *DB {
@@ -103,8 +111,7 @@ func TestInsertForeignKey(t *testing.T) {
 	if err := db.Insert("OFFER", tup("c1", "math")); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Stats.TriggerFirings()
-	if before != 0 {
+	if before := db.Stats().TriggerFirings; before != 0 {
 		t.Errorf("figure 3 is fully declarative; no triggers should fire, got %d", before)
 	}
 }
@@ -185,7 +192,7 @@ func TestProceduralNullConstraints(t *testing.T) {
 	if cv.Constraint == "" || cv.Kind.Declarative() {
 		t.Errorf("null constraint should carry its rendering and be trigger-regime, got %+v", cv)
 	}
-	if db.Stats.TriggerFirings() == 0 {
+	if db.Stats().TriggerFirings == 0 {
 		t.Error("procedural constraint should count as a trigger firing")
 	}
 	// With the OFFER part present it passes.
@@ -212,12 +219,12 @@ func TestNonKeyBasedINDTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fires := db.Stats.TriggerFirings()
+	fires := db.Stats().TriggerFirings
 	// ASSIST referencing c1 (an offered course) passes.
 	if err := db.Insert("ASSIST", tup("c1", "p2")); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats.TriggerFirings() <= fires {
+	if db.Stats().TriggerFirings <= fires {
 		t.Error("non-key-based dependency must fire a trigger")
 	}
 	// ASSIST referencing c2 (not offered: O.C.NR is null) fails.
@@ -247,16 +254,34 @@ func TestLoadAndSnapshot(t *testing.T) {
 	}
 }
 
+// A window taken with Sub counts exactly the operations inside it: the
+// inserts, delete, and lookup before it do not leak in, and the stamp is the
+// closing snapshot's LSN.
 func TestStatsAccounting(t *testing.T) {
 	db := openFig3(t)
-	db.Insert("COURSE", tup("c1"))
-	st := db.Stats.Snapshot()
-	if st.Inserts != 1 || st.DeclarativeChecks == 0 || st.IndexLookups == 0 {
-		t.Errorf("stats = %+v", st)
+	for _, c := range []string{"c1", "c2", "c3"} {
+		mustInsert(t, db, "COURSE", tup(c))
 	}
-	db.Stats.Reset()
-	if db.Stats.Inserts() != 0 {
-		t.Error("Reset")
+	db.GetByKey("COURSE", tup("c1"))
+	if err := db.Delete("COURSE", tup("c3")); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+
+	mustInsert(t, db, "COURSE", tup("c4"))
+	if err := db.Delete("COURSE", tup("c1")); err != nil {
+		t.Fatal(err)
+	}
+	db.GetByKey("COURSE", tup("c2"))
+	after := db.Stats()
+
+	got := after.Sub(before)
+	if got.Inserts != 1 || got.Deletes != 1 || got.Updates != 0 || got.Lookups != 1 ||
+		got.VersionLSN != after.VersionLSN {
+		t.Errorf("window = %+v, want 1 insert, 1 delete, 1 lookup, LSN %d", got, after.VersionLSN)
+	}
+	if after.VersionLSN <= before.VersionLSN {
+		t.Errorf("window LSN stamp %d did not advance past %d", after.VersionLSN, before.VersionLSN)
 	}
 }
 
@@ -296,8 +321,8 @@ func TestScan(t *testing.T) {
 	if seen != 1 {
 		t.Errorf("Scan matched %d", seen)
 	}
-	if db.Stats.TuplesScanned() != 2 {
-		t.Errorf("TuplesScanned = %d", db.Stats.TuplesScanned())
+	if got := db.Stats().TuplesScanned; got != 2 {
+		t.Errorf("TuplesScanned = %d", got)
 	}
 }
 
@@ -326,76 +351,55 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRegistryReconciliation checks the tentpole invariant: over a window with
-// no Stats.Reset(), every registry series equals its legacy Stats field.
-func TestRegistryReconciliation(t *testing.T) {
+// TestStatsScriptedHistory checks the cost counters against a known
+// history: N acknowledged COURSE inserts, one NOT NULL violation, and one
+// fetch. COURSE has one attribute, no foreign keys, and no procedural
+// constraints, so each acknowledged insert costs a NOT NULL and a primary-key
+// check plus one index probe; the violation stops at its NOT NULL check.
+func TestStatsScriptedHistory(t *testing.T) {
+	const n = 5
 	reg := obs.NewRegistry()
 	db, err := Open(figures.Fig3(), WithRegistry(reg), WithName("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	st := state.MustGenerate(figures.Fig3(), rng, state.GenOptions{Rows: 20})
-	if err := db.Load(st); err != nil {
-		t.Fatal(err)
-	}
-	db.Insert("COURSE", tup(nil)) // one violation
-	db.GetByKey("COURSE", tup("c1"))
-
-	want := map[string]int{
-		"engine.inserts":            db.Stats.Inserts(),
-		"engine.deletes":            db.Stats.Deletes(),
-		"engine.updates":            db.Stats.Updates(),
-		"engine.lookups":            db.Stats.Lookups(),
-		"engine.declarative_checks": db.Stats.DeclarativeChecks(),
-		"engine.trigger_firings":    db.Stats.TriggerFirings(),
-		"engine.index_lookups":      db.Stats.IndexLookups(),
-		"engine.tuples_scanned":     db.Stats.TuplesScanned(),
-	}
-	got := map[string]int{}
-	for _, p := range reg.Snapshot() {
-		if p.Kind == obs.KindCounter {
-			got[p.Name] = int(p.Value)
-		}
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("%s: registry %d != Stats %d", name, got[name], w)
-		}
-	}
-	if got["engine.constraint_violations"] != 1 {
-		t.Errorf("constraint_violations = %d", got["engine.constraint_violations"])
-	}
 	if db.Registry() != reg || db.MetricName() != "base" {
 		t.Error("WithRegistry/WithName accessors")
 	}
-	// Reset zeroes only the struct; registry totals stay monotonic.
-	pre := got["engine.inserts"]
-	db.Stats.Reset()
-	if db.Stats.Inserts() != 0 {
-		t.Error("Reset")
+	for i := 0; i < n; i++ {
+		mustInsert(t, db, "COURSE", tup(fmt.Sprintf("c%d", i)))
 	}
-	for _, p := range reg.Snapshot() {
-		if p.Name == "engine.inserts" && int(p.Value) != pre {
-			t.Error("Reset must not rewind the registry")
-		}
+	if err := db.Insert("COURSE", tup(nil)); err == nil {
+		t.Fatal("a null key must be refused")
+	}
+	if _, ok := db.GetByKey("COURSE", tup("c1")); !ok {
+		t.Fatal("acknowledged insert not fetchable")
 	}
 
-	// Operations after a mid-run Reset keep Totals() — not the windowed
-	// accessors — in lockstep with the registry: the invariant the relmerge
-	// -metrics reconciliation relies on.
-	if err := db.Insert("COURSE", tup("c-post-reset")); err != nil {
-		t.Fatal(err)
+	got := db.Stats()
+	want := StatsSnapshot{
+		Inserts:           n,
+		Lookups:           1,
+		DeclarativeChecks: 2*n + 1,
+		IndexLookups:      n + 1,
+		VersionLSN:        db.VersionLSN(),
 	}
-	if got := db.Stats.Inserts(); got != 1 {
-		t.Errorf("windowed inserts after reset = %d, want 1", got)
+	if got != want {
+		t.Errorf("Stats() = %+v, want %+v", got, want)
 	}
-	if got, want := db.Stats.Totals().Inserts, pre+1; got != want {
-		t.Errorf("total inserts after reset = %d, want %d", got, want)
-	}
+	series := map[string]int{}
 	for _, p := range reg.Snapshot() {
-		if p.Name == "engine.inserts" && int(p.Value) != db.Stats.Totals().Inserts {
-			t.Errorf("registry %v != Totals %d after mid-run reset", p.Value, db.Stats.Totals().Inserts)
+		if p.Kind == obs.KindCounter && p.Labels["db"] == "base" {
+			series[p.Name] = int(p.Value)
+		}
+	}
+	for name, w := range map[string]int{
+		"engine.inserts":               n,
+		"engine.lookups":               1,
+		"engine.constraint_violations": 1,
+	} {
+		if series[name] != w {
+			t.Errorf("%s = %d, want %d", name, series[name], w)
 		}
 	}
 }

@@ -53,7 +53,6 @@ type lockSet []lockReq
 // counter's delta over a read-only phase is the observable proof that the
 // fetch/scan path is lock-free (DB.LockAcquisitions).
 func (db *DB) acquire(ls lockSet) {
-	db.lockAcq.Add(1)
 	db.m.lockAcquisitions.Inc()
 	for _, r := range ls {
 		if r.mode == lockWrite {

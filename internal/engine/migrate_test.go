@@ -19,9 +19,9 @@ import (
 // {OFFER, TEACH, ASSIST} merged around OFFER with every key copy removed.
 func fig3Merge(t *testing.T) *core.MergedScheme {
 	t.Helper()
-	m, err := core.MergeWith(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, "OFFER+", core.Options{KeyRelation: "OFFER"})
+	m, err := core.MergeSet(figures.Fig3(), []string{"OFFER", "TEACH", "ASSIST"}, core.WithName("OFFER+"), core.WithKeyRelation("OFFER"))
 	if err != nil {
-		t.Fatalf("MergeWith: %v", err)
+		t.Fatalf("MergeSet: %v", err)
 	}
 	m.RemoveAll()
 	return m

@@ -98,12 +98,12 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 		return fmt.Errorf("%w: no %s tuple with key %v", ErrNoSuchTuple, name, key)
 	}
 	for _, ind := range db.indsInto[name] {
-		tx.countTrig()
+		tx.count(db.m.triggerFirings)
 		referenced := projectAttrs(t, tup, ind.RightAttrs)
 		if !referenced.IsTotal() {
 			continue
 		}
-		tx.countIdx()
+		tx.count(db.m.indexLookups)
 		if len(tx.bucket(db.tables[ind.Left], secondaryKey(ind.LeftAttrs), referenced.EncodeKey())) > 0 {
 			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "delete"})
 		}
@@ -118,7 +118,7 @@ func (db *DB) deleteLocked(tx *writeTx, t *table, key relation.Tuple, eff *effec
 		}
 	}
 	eff.remove(tx, t, tup)
-	tx.countDelete()
+	tx.count(db.m.deletes)
 	return nil
 }
 
@@ -179,13 +179,13 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 	}
 	// Referenced-side integrity for the vanishing old values.
 	for _, ind := range db.indsInto[name] {
-		tx.countTrig()
+		tx.count(db.m.triggerFirings)
 		oldRef := projectAttrs(t, old, ind.RightAttrs)
 		newRef := projectAttrs(t, newTup, ind.RightAttrs)
 		if !oldRef.IsTotal() || oldRef.Identical(newRef) {
 			continue
 		}
-		tx.countIdx()
+		tx.count(db.m.indexLookups)
 		if len(tx.bucket(db.tables[ind.Left], secondaryKey(ind.LeftAttrs), oldRef.EncodeKey())) > 0 {
 			return db.violation(&ConstraintViolation{Kind: RestrictViolation, Relation: name, Constraint: ind.String(), Op: "update"})
 		}
@@ -198,7 +198,7 @@ func (db *DB) updateLocked(tx *writeTx, t *table, key, newTup relation.Tuple, ef
 		}
 	}
 	eff.apply(tx, t, newTup)
-	tx.countUpdate()
+	tx.count(db.m.updates)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/immap"
+	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -66,41 +67,10 @@ type writeTx struct {
 	dry bool
 }
 
-// Cost-accounting forwarders: identical to the db.countX helpers except that
-// a dry-run transaction suppresses them.
-func (tx *writeTx) countInsert() {
+// count adds one to a cost counter unless the transaction is a dry run.
+func (tx *writeTx) count(c *obs.Counter) {
 	if !tx.dry {
-		tx.db.countInsert()
-	}
-}
-
-func (tx *writeTx) countDelete() {
-	if !tx.dry {
-		tx.db.countDelete()
-	}
-}
-
-func (tx *writeTx) countUpdate() {
-	if !tx.dry {
-		tx.db.countUpdate()
-	}
-}
-
-func (tx *writeTx) countDecl() {
-	if !tx.dry {
-		tx.db.countDecl()
-	}
-}
-
-func (tx *writeTx) countTrig() {
-	if !tx.dry {
-		tx.db.countTrig()
-	}
-}
-
-func (tx *writeTx) countIdx() {
-	if !tx.dry {
-		tx.db.countIdx()
+		c.Inc()
 	}
 }
 
@@ -313,7 +283,7 @@ func (db *DB) TxnView() (*View, bool) {
 // Open. Read-only phases leave it unchanged — the observable witness that
 // the fetch/scan hot path takes no locks (benchreport's P8 suite and the
 // MVCC stress tests assert a zero delta).
-func (db *DB) LockAcquisitions() uint64 { return db.lockAcq.Load() }
+func (db *DB) LockAcquisitions() uint64 { return uint64(db.m.lockAcquisitions.Value()) }
 
 // getAt answers a key lookup from one pinned snapshot.
 func (db *DB) getAt(snap *dbSnapshot, name string, key relation.Tuple) (relation.Tuple, bool, error) {

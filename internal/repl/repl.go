@@ -437,7 +437,7 @@ func (b *Backend) Rollback() error {
 	return b.f.db.Rollback()
 }
 
-func (b *Backend) StatsTotals() engine.StatsSnapshot { return b.f.db.StatsTotals() }
+func (b *Backend) Stats() engine.StatsSnapshot { return b.f.db.Stats() }
 
 func (b *Backend) Checkpoint() error {
 	// Local compaction of the replica's own log; allowed pre-promotion (it

@@ -85,9 +85,9 @@ type Backend interface {
 	Begin() error
 	Commit() error
 	Rollback() error
-	// StatsTotals returns the monotonic counters stamped with the current
-	// version LSN (aggregated across shards for a router backend).
-	StatsTotals() engine.StatsSnapshot
+	// Stats returns the monotonic counters stamped with the current version
+	// LSN (aggregated across shards for a router backend).
+	Stats() engine.StatsSnapshot
 	Checkpoint() error
 	Durable() bool
 	Close() error
@@ -636,7 +636,7 @@ func (s *Server) dispatch(t *task) *Response {
 		}
 		return &Response{OK: true}
 	case OpStats:
-		st := s.db.StatsTotals()
+		st := s.db.Stats()
 		return &Response{OK: true, Stats: &st}
 	case OpCheckpoint:
 		if err := s.db.Checkpoint(); err != nil {

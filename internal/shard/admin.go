@@ -63,13 +63,13 @@ func (r *Router) Rollback() error {
 // lockstep keeps all shards in agreement).
 func (r *Router) InTxn() bool { return r.shards[0].InTxn() }
 
-// StatsTotals aggregates the shard engines' monotonic counters: counts sum;
-// the LSN stamp is the maximum across shards (each shard's version chain
+// Stats aggregates the shard engines' monotonic counters: counts sum; the
+// LSN stamp is the maximum across shards (each shard's version chain
 // advances independently, so the router's "version" is the envelope).
-func (r *Router) StatsTotals() engine.StatsSnapshot {
+func (r *Router) Stats() engine.StatsSnapshot {
 	var out engine.StatsSnapshot
 	for _, db := range r.shards {
-		st := db.StatsTotals()
+		st := db.Stats()
 		out.Inserts += st.Inserts
 		out.Deletes += st.Deletes
 		out.Updates += st.Updates

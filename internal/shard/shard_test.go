@@ -298,6 +298,41 @@ func TestCrossShardBatch(t *testing.T) {
 	}
 }
 
+// TestCrossShardBatchCountsOnce checks PrevalidateBatchCtx's promise: a
+// cross-shard batch is prevalidated on every involved shard and then
+// applied, yet the router's Stats move by exactly what the same batch costs
+// on a single engine.
+func TestCrossShardBatchCountsOnce(t *testing.T) {
+	r := openRouter(t, 4)
+	k1, k2 := keysOnDifferentShards(t, r, "once")
+	ops := []engine.BatchOp{engine.Ins("COURSE", tup(k1)), engine.Ins("COURSE", tup(k2))}
+
+	single, err := engine.Open(figures.Fig3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	before := single.Stats()
+	if err := single.ApplyBatchCtx(context.Background(), ops); err != nil {
+		t.Fatal(err)
+	}
+	want := single.Stats().Sub(before)
+
+	before = r.Stats()
+	if err := r.ApplyBatch(ops); err != nil {
+		t.Fatalf("cross-shard batch: %v", err)
+	}
+	got := r.Stats().Sub(before)
+
+	got.VersionLSN, want.VersionLSN = 0, 0
+	if got != want {
+		t.Errorf("router window = %+v, single engine = %+v", got, want)
+	}
+	if want.Inserts != 2 {
+		t.Errorf("single-engine inserts = %d, want 2", want.Inserts)
+	}
+}
+
 // TestCrossShardUpdateMigration moves a row to a new shard via Update and
 // checks both the migration and the engine-parity violation surface.
 func TestCrossShardUpdateMigration(t *testing.T) {
@@ -433,14 +468,14 @@ func TestRouterStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.StatsTotals()
+	st := r.Stats()
 	if st.Inserts != 32 {
 		t.Errorf("aggregated inserts = %d, want 32", st.Inserts)
 	}
 	var maxLSN uint64
 	perShard := 0
 	for i := 0; i < r.Shards(); i++ {
-		sst := r.Shard(i).StatsTotals()
+		sst := r.Shard(i).Stats()
 		perShard += sst.Inserts
 		if sst.VersionLSN > maxLSN {
 			maxLSN = sst.VersionLSN

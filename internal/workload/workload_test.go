@@ -107,16 +107,15 @@ func TestNewBenchStar(t *testing.T) {
 
 	// The profile query finds the same object both ways, with fewer lookups
 	// on the merged side.
-	b.Base.Stats.Reset()
-	b.Merged.Stats.Reset()
+	base0, merged0 := b.Base.Stats(), b.Merged.Stats()
 	for _, k := range b.Keys {
 		b.ProfileBase(k)
 		if got := b.ProfileMerged(k); got != 1 {
 			t.Errorf("merged profile missing key %v", k)
 		}
 	}
-	baseLookups := b.Base.Stats.IndexLookups()
-	mergedLookups := b.Merged.Stats.IndexLookups()
+	baseLookups := b.Base.Stats().Sub(base0).IndexLookups
+	mergedLookups := b.Merged.Stats().Sub(merged0).IndexLookups
 	if mergedLookups*4 > baseLookups {
 		t.Errorf("merged lookups %d should be ~5x below base %d", mergedLookups, baseLookups)
 	}
@@ -154,29 +153,27 @@ func TestInsertMergedRowBothRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	star.Base.Stats.Reset()
-	star.Merged.Stats.Reset()
+	before := star.Merged.Stats()
 	for i := 0; i < 5; i++ {
 		if err := star.InsertMergedRow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if star.Merged.Stats.TriggerFirings() != 0 {
-		t.Errorf("star merged inserts should be fully declarative, fired %d triggers",
-			star.Merged.Stats.TriggerFirings())
+	if fired := star.Merged.Stats().Sub(before).TriggerFirings; fired != 0 {
+		t.Errorf("star merged inserts should be fully declarative, fired %d triggers", fired)
 	}
 
 	chain, err := NewBench(ChainEER(3), "E0", 10, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain.Merged.Stats.Reset()
+	before = chain.Merged.Stats()
 	for i := 0; i < 5; i++ {
 		if err := chain.InsertMergedRow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if chain.Merged.Stats.TriggerFirings() == 0 {
+	if chain.Merged.Stats().Sub(before).TriggerFirings == 0 {
 		t.Error("chain merged inserts must fire null-constraint triggers")
 	}
 }

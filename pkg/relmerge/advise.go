@@ -135,7 +135,7 @@ func advisorTarget(sess Session) online.Target {
 type routerTarget struct{ r *shard.Router }
 
 func (t routerTarget) DesignSnapshot() (*Schema, []engine.CoAccessStat, EngineStats) {
-	return t.r.Schema(), t.r.CoAccessStats(), t.r.StatsTotals()
+	return t.r.Schema(), t.r.CoAccessStats(), t.r.Stats()
 }
 
 func (t routerTarget) Migrate(ns *Schema, transform func(*DB) (*DB, error)) error {

@@ -50,17 +50,16 @@ func TestFacadeEngine(t *testing.T) {
 		t.Errorf("failed batch leaked a COURSE row: %d -> %d", before, got)
 	}
 
-	// Stats and the shared registry stay reconciled through the facade.
-	totals := e.Stats.Totals()
+	// Stats reads the injected registry's db=base series: exactly the two
+	// GetByKey calls above.
 	var regLookups int
 	for _, p := range relmerge.Snapshot(reg) {
 		if p.Name == "engine.lookups" && p.Labels["db"] == "base" {
 			regLookups = int(p.Value)
 		}
 	}
-	if totals.Lookups != regLookups {
-		t.Errorf("facade stats drifted from registry: Totals().Lookups=%d, series=%d",
-			totals.Lookups, regLookups)
+	if got := e.Stats().Lookups; got != 2 || regLookups != 2 {
+		t.Errorf("lookups: Stats()=%d, series=%d, want 2", got, regLookups)
 	}
 }
 

@@ -136,8 +136,7 @@ func (s *FollowerSession) StatsCtx(ctx context.Context) (EngineStats, error) {
 	if err := ctx.Err(); err != nil {
 		return EngineStats{}, err
 	}
-	st := s.b.StatsTotals()
-	return st, nil
+	return s.b.Stats(), nil
 }
 
 func (s *FollowerSession) Checkpoint() error { return s.CheckpointCtx(context.Background()) }

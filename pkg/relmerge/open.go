@@ -133,8 +133,8 @@ func WithAdvisorConfig(ac AdvisorConfig) OpenOption {
 // taxonomy (sentinels, *ConstraintViolation, Code), as enforced by the
 // cross-backend conformance suite.
 //
-// OpenSession, Dial, and NewShardedSession remain as typed wrappers for
-// callers that want the concrete session type.
+// NewSession and NewShardedSession wrap an engine or router the caller has
+// already built.
 func Open(cfg Config, options ...OpenOption) (Session, error) {
 	for _, opt := range options {
 		opt(&cfg)

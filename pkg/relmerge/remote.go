@@ -27,7 +27,7 @@ type RemoteSession struct {
 	c *server.Client
 }
 
-// RemoteOption configures Dial.
+// RemoteOption configures a Remote session (Config.RemoteOptions).
 type RemoteOption func(*server.ClientOptions)
 
 // WithPoolSize bounds the remote session's open connections (default 4).
@@ -61,18 +61,6 @@ func WithRetries(n int) RemoteOption {
 // (default 5ms).
 func WithRetryBackoff(d time.Duration) RemoteOption {
 	return func(o *server.ClientOptions) { o.RetryBackoff = d }
-}
-
-// Dial connects to a relmerged server and returns it as a Session: a typed
-// wrapper around Open(Config{Backend: Remote, Addr: addr}). The protocol
-// handshake runs eagerly on the first connection, so a wrong address or
-// version mismatch fails here, not on the first operation.
-func Dial(addr string, opts ...RemoteOption) (*RemoteSession, error) {
-	sess, err := Open(Config{Backend: Remote, Addr: addr, RemoteOptions: opts})
-	if err != nil {
-		return nil, err
-	}
-	return sess.(*RemoteSession), nil
 }
 
 func (s *RemoteSession) Insert(relName string, tup Tuple) error {

@@ -8,9 +8,9 @@ import (
 
 // Session is the unified operational API: inserts, deletes, updates, key
 // lookups, atomic batches, the (single, global) transaction, stats, and
-// checkpoints. It is implemented by both the embedded engine (NewSession /
-// OpenSession) and the remote client (Dial), so workload drivers, the CLI,
-// and benchmarks run unchanged against either backend.
+// checkpoints. Open returns it for every backend — embedded engine, remote
+// client, sharded router, follower — so workload drivers, the CLI, and
+// benchmarks run unchanged against any of them.
 //
 // Every operation has a Ctx variant; the non-Ctx form delegates to it with
 // context.Background(). Errors carry the same taxonomy on both backends:
@@ -77,16 +77,6 @@ type EmbeddedSession struct {
 // the engine; the session is a view, not a transfer of ownership — but
 // Close does close the engine.
 func NewSession(e *Engine) *EmbeddedSession { return &EmbeddedSession{eng: e} }
-
-// OpenSession opens an embedded session over the schema: a typed wrapper
-// around Open(Config{Backend: Embedded, Schema: s, EngineOptions: opts}).
-func OpenSession(s *Schema, opts ...EngineOption) (*EmbeddedSession, error) {
-	sess, err := Open(Config{Backend: Embedded, Schema: s, EngineOptions: opts})
-	if err != nil {
-		return nil, err
-	}
-	return sess.(*EmbeddedSession), nil
-}
 
 // Engine returns the wrapped engine, for callers that need APIs beyond the
 // Session surface (Scan, Snapshot, Count, recovery info).
@@ -183,9 +173,7 @@ func (s *EmbeddedSession) StatsCtx(ctx context.Context) (EngineStats, error) {
 	if err := ctx.Err(); err != nil {
 		return EngineStats{}, err
 	}
-	st := s.eng.Stats.Totals()
-	st.VersionLSN = s.eng.VersionLSN()
-	return st, nil
+	return s.eng.Stats(), nil
 }
 
 func (s *EmbeddedSession) Checkpoint() error { return s.CheckpointCtx(context.Background()) }

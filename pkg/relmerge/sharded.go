@@ -119,7 +119,7 @@ func (s *ShardedSession) StatsCtx(ctx context.Context) (EngineStats, error) {
 	if err := ctx.Err(); err != nil {
 		return EngineStats{}, err
 	}
-	return s.r.StatsTotals(), nil
+	return s.r.Stats(), nil
 }
 
 func (s *ShardedSession) Checkpoint() error { return s.CheckpointCtx(context.Background()) }
