@@ -25,9 +25,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-## stress: the concurrency stress suite, fresh (uncached) under the race detector
+## stress: the concurrency stress suite — including readers of frozen maps beside a builder editing in place — fresh (uncached) under the race detector
 stress:
-	$(GO) test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/workload/ ./internal/attrset/
+	$(GO) test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/workload/ ./internal/attrset/ ./internal/immap/
 
 ## crash: the crash-recovery suite — WAL replay, failpoint injection, the recovery property matrix — fresh under the race detector
 crash:
@@ -69,7 +69,7 @@ probe:
 	$(GO) run ./cmd/benchreport -probe
 
 bench:
-	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/
+	$(GO) test -bench . -benchmem -run xxx ./internal/attrset/ ./internal/fd/ ./internal/engine/ ./internal/immap/
 
 ## benchjson: regenerate the machine-readable perf report committed as BENCH_PR10.json
 benchjson:

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/relation"
+	"repro/internal/state"
 )
 
 func BenchmarkInsertDeclarative(b *testing.B) {
@@ -50,12 +51,50 @@ func BenchmarkInsertProcedural(b *testing.B) {
 
 func BenchmarkGetByKey(b *testing.B) {
 	db := MustOpen(figures.Fig3())
-	for i := 0; i < 4096; i++ {
-		db.Insert("COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))})
+	keys := make([]relation.Tuple, 4096)
+	for i := range keys {
+		keys[i] = relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i))}
+		db.Insert("COURSE", keys[i])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.GetByKey("COURSE", relation.Tuple{relation.NewString(fmt.Sprintf("c%d", i%4096))})
+		db.GetByKey("COURSE", keys[i%len(keys)])
+	}
+}
+
+// BenchmarkLoad bulk-loads a Figure 3 state of 2000 courses — each offered,
+// taught and assisted — with its 4000 people, into a fresh engine per
+// iteration: the whole-state path that Open-time loads and durable recovery
+// take, every constraint checked.
+func BenchmarkLoad(b *testing.B) {
+	const n = 2000
+	st := state.New(figures.Fig3())
+	add := func(rel string, vals ...string) {
+		tup := make(relation.Tuple, len(vals))
+		for i, v := range vals {
+			tup[i] = relation.NewString(v)
+		}
+		st.Relation(rel).Add(tup)
+	}
+	for d := 0; d < n/20; d++ {
+		add("DEPARTMENT", fmt.Sprintf("d%d", d))
+	}
+	for i := 0; i < n; i++ {
+		c, f, s := fmt.Sprintf("c%d", i), fmt.Sprintf("f%d", i), fmt.Sprintf("s%d", i)
+		add("PERSON", f)
+		add("PERSON", s)
+		add("FACULTY", f)
+		add("STUDENT", s)
+		add("COURSE", c)
+		add("OFFER", c, fmt.Sprintf("d%d", i%(n/20)))
+		add("TEACH", c, f)
+		add("ASSIST", c, s)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := MustOpen(figures.Fig3()).Load(st); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

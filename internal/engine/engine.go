@@ -78,8 +78,13 @@ type binding struct {
 	tables map[string]*table
 	lm     *lockManager
 	// indsFrom/indsInto index the schema's inclusion dependencies by side.
+	// keyINDs/procINDs split indsFrom by IND.KeyBased once, at binding time:
+	// the key-based ones are declarative FK checks, the rest fire as
+	// triggers (both checked for every inserted tuple).
 	indsFrom map[string][]schema.IND
 	indsInto map[string][]schema.IND
+	keyINDs  map[string][]schema.IND
+	procINDs map[string][]schema.IND
 	// procedural null constraints per scheme (NNA excluded).
 	procNulls map[string][]schema.NullConstraint
 	nnaAttrs  map[string]map[string]bool
@@ -102,7 +107,7 @@ type DB struct {
 	obsName string
 	m       *dbMetrics
 	// schemaMu guards the schema-derived structures below (Schema, tables,
-	// lm, indsFrom/indsInto, procNulls, nnaAttrs, bind) against live schema
+	// lm, indsInto, procNulls, nnaAttrs, bind) against live schema
 	// migration: every mutating entry point holds it shared for the
 	// operation's duration, MigrateSchema holds it exclusive. Lock order:
 	// schemaMu before replMu before table locks before txnMu. Lock-free
@@ -125,8 +130,8 @@ type DB struct {
 	lastPublish atomic.Int64
 	// lm holds the precomputed per-operation lock plans (locks.go).
 	lm *lockManager
-	// indsFrom/indsInto index the schema's inclusion dependencies by side.
-	indsFrom map[string][]schema.IND
+	// indsInto indexes the schema's inclusion dependencies by referenced
+	// side (the referencing side is split in bind.keyINDs/procINDs).
 	indsInto map[string][]schema.IND
 	// procedural null constraints per scheme (NNA excluded).
 	procNulls map[string][]schema.NullConstraint
@@ -252,6 +257,8 @@ func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 		tables:    make(map[string]*table, len(s.Relations)),
 		indsFrom:  make(map[string][]schema.IND),
 		indsInto:  make(map[string][]schema.IND),
+		keyINDs:   make(map[string][]schema.IND),
+		procINDs:  make(map[string][]schema.IND),
 		procNulls: make(map[string][]schema.NullConstraint),
 		nnaAttrs:  make(map[string]map[string]bool),
 		coEdges:   make(map[string]*coEdge),
@@ -271,6 +278,11 @@ func (db *DB) newBinding(s *schema.Schema) (*binding, error) {
 	for _, ind := range s.INDs {
 		b.indsFrom[ind.Left] = append(b.indsFrom[ind.Left], ind)
 		b.indsInto[ind.Right] = append(b.indsInto[ind.Right], ind)
+		if ind.KeyBased(s) {
+			b.keyINDs[ind.Left] = append(b.keyINDs[ind.Left], ind)
+		} else {
+			b.procINDs[ind.Left] = append(b.procINDs[ind.Left], ind)
+		}
 	}
 	for _, nc := range s.Nulls {
 		if ne, ok := nc.(schema.NullExistence); ok && ne.IsNNA() {
@@ -306,7 +318,6 @@ func (db *DB) install(b *binding) {
 	db.Schema = b.schema
 	db.tables = b.tables
 	db.lm = b.lm
-	db.indsFrom = b.indsFrom
 	db.indsInto = b.indsInto
 	db.procNulls = b.procNulls
 	db.nnaAttrs = b.nnaAttrs
@@ -503,11 +514,8 @@ func (db *DB) checkDeclarative(tx *writeTx, t *table, tup relation.Tuple) error 
 	// Key-based foreign keys: indexed probe into the referenced table. A
 	// local miss on a partition engine falls through to the router's
 	// cross-shard probe (partition.go) before it counts as a violation.
-	for _, ind := range db.indsFrom[name] {
+	for _, ind := range db.bind.keyINDs[name] {
 		target := db.tables[ind.Right]
-		if !ind.KeyBased(db.Schema) {
-			continue // handled by triggers
-		}
 		tx.count(db.m.declChecks)
 		fk := projectAttrs(t, tup, ind.LeftAttrs)
 		if !fk.IsTotal() {
@@ -541,10 +549,7 @@ func (db *DB) fireInsertTriggers(tx *writeTx, t *table, tup relation.Tuple) erro
 			return db.violation(&ConstraintViolation{Kind: NullConstraintViolation, Relation: name, Constraint: fmt.Sprint(nc), Op: "insert"})
 		}
 	}
-	for _, ind := range db.indsFrom[name] {
-		if ind.KeyBased(db.Schema) {
-			continue
-		}
+	for _, ind := range db.bind.procINDs[name] {
 		tx.count(db.m.triggerFirings)
 		fk := projectAttrs(t, tup, ind.LeftAttrs)
 		if !fk.IsTotal() {

@@ -118,27 +118,10 @@ func (db *DB) MigrateSchema(ns *schema.Schema, transform func(*state.DB) (*state
 // versionsOf builds the immutable table-version set of st under binding b
 // (every prebuilt index populated), without publishing anything.
 func (db *DB) versionsOf(b *binding, st *state.DB) map[string]*tableVersion {
-	base := emptyVersions(b)
-	tx := &writeTx{db: db, snap: &dbSnapshot{tables: base, bind: b}, work: make(map[*table]*workTable, len(b.tables)), dry: true}
-	for _, t := range b.tables {
-		tx.stage(t)
-	}
-	for name, t := range b.tables {
-		r := st.Relation(name)
-		if r == nil {
-			continue
-		}
-		src := r
-		if !sameAttrs(src.Attrs(), t.hdr.Attrs()) {
-			src = src.Project(t.hdr.Attrs())
-		}
-		for _, tup := range src.Tuples() {
-			tx.apply(t, tup)
-		}
-	}
-	out := make(map[string]*tableVersion, len(b.tables))
+	tx := db.stageState(b, st)
+	out := make(map[string]*tableVersion, len(tx.work))
 	for t, wt := range tx.work {
-		out[t.name] = &tableVersion{pk: wt.pk, sec: wt.sec}
+		out[t.name] = wt.version()
 	}
 	return out
 }

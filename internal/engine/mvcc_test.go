@@ -66,6 +66,103 @@ func TestMVCCViewPinsVersion(t *testing.T) {
 	}
 }
 
+// A View pinned between two batches on the same tables keeps answering from
+// the first batch, although the second batch and a third one, dropped on a
+// violation, edited the tables' trie nodes in place while staging: every
+// write transaction copies a published node before it touches it. The
+// current version holds exactly the first two batches — primary and
+// secondary indexes alike.
+func TestMVCCViewPinnedBetweenBatches(t *testing.T) {
+	db := engine.MustOpen(figures.Fig3())
+	ctx := context.Background()
+	str := relation.NewString
+	offer := func(c, d string) relation.Tuple { return relation.Tuple{str(c), str(d)} }
+	var first []engine.BatchOp
+	first = append(first, engine.Ins("DEPARTMENT", key("math")), engine.Ins("DEPARTMENT", key("cs")))
+	for i := 0; i < 300; i++ {
+		c := fmt.Sprintf("c%d", i)
+		first = append(first, engine.Ins("COURSE", key(c)), engine.Ins("OFFER", offer(c, []string{"math", "cs"}[i%2])))
+	}
+	if err := db.ApplyBatchCtx(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	v := db.View()
+	want := map[string]string{} // OFFER course -> department in the pinned version
+	for i := 0; i < 300; i++ {
+		want[fmt.Sprintf("c%d", i)] = []string{"math", "cs"}[i%2]
+	}
+
+	// Second batch: new rows, deletes, and every "cs" offer moved to "math".
+	var second []engine.BatchOp
+	for i := 300; i < 600; i++ {
+		c := fmt.Sprintf("c%d", i)
+		second = append(second, engine.Ins("COURSE", key(c)), engine.Ins("OFFER", offer(c, "math")))
+	}
+	for i := 0; i < 300; i++ {
+		c := fmt.Sprintf("c%d", i)
+		switch {
+		case i%3 == 0:
+			second = append(second, engine.Del("OFFER", key(c)))
+		case i%2 == 1:
+			second = append(second, engine.Upd("OFFER", key(c), offer(c, "math")))
+		}
+	}
+	if err := db.ApplyBatchCtx(ctx, second); err != nil {
+		t.Fatal(err)
+	}
+	// Third batch: stages rows (a "cs" offer among them), then violates.
+	third := []engine.BatchOp{engine.Ins("COURSE", key("c-late")), engine.Ins("OFFER", offer("c-late", "cs"))}
+	for i := 600; i < 800; i++ {
+		third = append(third, engine.Ins("COURSE", key(fmt.Sprintf("c%d", i))))
+	}
+	third = append(third, engine.Ins("OFFER", offer("no-such-course", "math")))
+	if err := db.ApplyBatchCtx(ctx, third); err == nil {
+		t.Fatal("batch with a dangling foreign key committed")
+	}
+
+	if got := v.Count("COURSE"); got != 300 {
+		t.Errorf("pinned view: COURSE count %d, want 300", got)
+	}
+	seen := 0
+	if err := v.Scan("OFFER", nil, func(tup relation.Tuple) {
+		seen++
+		c, d := tup[0].String(), tup[1].String()
+		if want[c] != d {
+			t.Errorf("pinned view: OFFER %s -> %s, want %q", c, d, want[c])
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(want) {
+		t.Errorf("pinned view: OFFER scan saw %d rows, want %d", seen, len(want))
+	}
+	for _, c := range []string{"c300", "c799", "c-late"} {
+		if _, ok := v.GetByKey("COURSE", key(c)); ok {
+			t.Errorf("pinned view sees later course %s", c)
+		}
+	}
+
+	// Current version: exactly the first two batches.
+	if got := db.Count("COURSE"); got != 600 {
+		t.Errorf("COURSE count %d, want 600", got)
+	}
+	if got := db.Count("OFFER"); got != 500 {
+		t.Errorf("OFFER count %d, want 500", got)
+	}
+	if _, ok := db.GetByKey("COURSE", key("c-late")); ok {
+		t.Error("dropped batch left course c-late behind")
+	}
+	// The OFFER department index must hold no "cs" offer (moved or deleted
+	// by the second batch; the dropped batch's one never published), so the
+	// restrict check lets "cs" go and still guards "math".
+	if err := db.Delete("DEPARTMENT", key("math")); err == nil {
+		t.Error("deleting a referenced department succeeded")
+	}
+	if err := db.Delete("DEPARTMENT", key("cs")); err != nil {
+		t.Errorf("deleting an unreferenced department: %v", err)
+	}
+}
+
 // TxnView answers from the version pinned at Begin: the transaction's own
 // writes are visible through the DB methods but not through its read view,
 // and the view is gone once the transaction closes.

@@ -170,35 +170,16 @@ func (db *DB) IngestSnapshot(data []byte, lsn uint64) error {
 }
 
 // replaceState publishes st as a wholesale replacement of every table's
-// current version, stamped lsn. Staging every table over an EMPTY base
-// version makes publish (which merges staged tables over current) a full
-// replacement: tables absent from st publish empty. Caller holds schemaMu
-// (shared or exclusive); local writers are additionally quiesced via the
-// all-write lock set so a concurrent writer cannot publish between the swap
-// decision and the swap.
+// current version, stamped lsn (stageState stages over empty versions, so
+// tables absent from st publish empty). Caller holds schemaMu (shared or
+// exclusive); local writers are additionally quiesced via the all-write lock
+// set so a concurrent writer cannot publish between the swap decision and
+// the swap.
 func (db *DB) replaceState(st *state.DB, lsn uint64) {
-	bind := db.bind
-	ls := bind.lm.allWrite()
+	ls := db.bind.lm.allWrite()
 	db.acquire(ls)
 	defer ls.release()
-	tx := &writeTx{db: db, snap: &dbSnapshot{tables: emptyVersions(bind), bind: bind}, work: make(map[*table]*workTable, len(bind.tables))}
-	for _, t := range bind.tables {
-		tx.stage(t)
-	}
-	for name, t := range bind.tables {
-		r := st.Relation(name)
-		if r == nil {
-			continue
-		}
-		src := r
-		if !sameAttrs(src.Attrs(), t.hdr.Attrs()) {
-			src = src.Project(t.hdr.Attrs())
-		}
-		for _, tup := range src.Tuples() {
-			tx.apply(t, tup)
-		}
-	}
-	db.publish(tx, lsn)
+	db.publish(db.stageState(db.bind, st), lsn)
 }
 
 // ReplRead is the primary-side read half of the shipping loop: the committed

@@ -6,6 +6,7 @@ import (
 	"repro/internal/immap"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/state"
 )
 
 // This file implements the engine's MVCC read path: immutable versioned
@@ -22,11 +23,13 @@ import (
 //   - Writers still serialize through the per-table lock plans (locks.go):
 //     the held write locks guarantee the pinned snapshot is the latest
 //     version of every table the writer mutates. Mutations are staged in a
-//     writeTx — fresh map versions derived from the pinned snapshot — and
-//     become visible in ONE publish after the WAL accepts the record
-//     (commitEffects, locks.go). A failed or violating operation simply
-//     drops its writeTx: the published state was never touched, so there is
-//     nothing to revert.
+//     writeTx — one immap.Builder per index, started from the pinned
+//     snapshot — and become visible in ONE publish after the WAL accepts the
+//     record (commitEffects, locks.go). A builder copies a published trie
+//     node once, on first touch, and edits its own copies in place, so a
+//     batch of n tuples allocates its trie nodes about once, not a path per
+//     tuple. A failed or violating operation simply drops its writeTx: the
+//     published state was never touched, so there is nothing to revert.
 //   - Old versions are reclaimed by the garbage collector once the last
 //     reader drops its snapshot pointer; no epoch or hazard bookkeeping.
 
@@ -52,10 +55,10 @@ type dbSnapshot struct {
 	bind   *binding
 }
 
-// writeTx stages the mutations of one operation (or one whole batch) as
-// unpublished map versions derived from a pinned snapshot. Validation reads
-// go through the writeTx so earlier staged mutations are visible to later
-// checks of the same batch; concurrent readers see none of it until publish.
+// writeTx stages the mutations of one operation (or one whole batch) in
+// builders started from a pinned snapshot. Validation reads go through the
+// writeTx so earlier staged mutations are visible to later checks of the
+// same batch; concurrent readers see none of it until publish.
 type writeTx struct {
 	db   *DB
 	snap *dbSnapshot
@@ -76,8 +79,17 @@ func (tx *writeTx) count(c *obs.Counter) {
 
 // workTable holds the in-progress next version of one table's indexes.
 type workTable struct {
-	pk  *immap.Map[relation.Tuple]
-	sec map[string]*immap.Map[[]relation.Tuple]
+	pk  *immap.Builder[relation.Tuple]
+	sec map[string]*immap.Builder[[]relation.Tuple]
+}
+
+// version freezes the staged indexes as an immutable table version.
+func (wt *workTable) version() *tableVersion {
+	sec := make(map[string]*immap.Map[[]relation.Tuple], len(wt.sec))
+	for k, idx := range wt.sec {
+		sec[k] = idx.Map()
+	}
+	return &tableVersion{pk: wt.pk.Map(), sec: sec}
 }
 
 // beginWrite pins the current snapshot as the base of a new write
@@ -94,12 +106,35 @@ func (tx *writeTx) stage(t *table) *workTable {
 		return wt
 	}
 	v := tx.snap.tables[t.name]
-	wt := &workTable{pk: v.pk, sec: make(map[string]*immap.Map[[]relation.Tuple], len(v.sec))}
+	wt := &workTable{pk: v.pk.Edit(), sec: make(map[string]*immap.Builder[[]relation.Tuple], len(v.sec))}
 	for k, idx := range v.sec {
-		wt.sec[k] = idx
+		wt.sec[k] = idx.Edit()
 	}
 	tx.work[t] = wt
 	return wt
+}
+
+// stageState stages st as the complete contents of every table of binding
+// b: the write transaction starts from b's empty version-zero, so
+// publishing or freezing it replaces each table wholesale, and tables absent
+// from st come out empty. No constraint runs — callers stage only states
+// that were validated already (migration images, re-validated snapshots).
+func (db *DB) stageState(b *binding, st *state.DB) *writeTx {
+	tx := &writeTx{db: db, snap: &dbSnapshot{tables: emptyVersions(b), bind: b}, work: make(map[*table]*workTable, len(b.tables))}
+	for name, t := range b.tables {
+		tx.stage(t)
+		r := st.Relation(name)
+		if r == nil {
+			continue
+		}
+		if !sameAttrs(r.Attrs(), t.hdr.Attrs()) {
+			r = r.Project(t.hdr.Attrs())
+		}
+		for _, tup := range r.Tuples() {
+			tx.apply(t, tup)
+		}
+	}
+	return tx
 }
 
 // pkGet reads the primary-key index of t: staged version if this transaction
@@ -113,24 +148,22 @@ func (tx *writeTx) pkGet(t *table, key string) (relation.Tuple, bool) {
 
 // bucket reads one secondary-index bucket of t (staged or pinned, like pkGet).
 func (tx *writeTx) bucket(t *table, idxKey, valKey string) []relation.Tuple {
-	var idx *immap.Map[[]relation.Tuple]
+	var b []relation.Tuple
 	if wt, ok := tx.work[t]; ok {
-		idx = wt.sec[idxKey]
-	} else {
-		idx = tx.snap.tables[t.name].sec[idxKey]
+		if idx := wt.sec[idxKey]; idx != nil {
+			b, _ = idx.Get(valKey)
+		}
+	} else if idx := tx.snap.tables[t.name].sec[idxKey]; idx != nil {
+		b, _ = idx.Get(valKey)
 	}
-	if idx == nil {
-		return nil
-	}
-	b, _ := idx.Get(valKey)
 	return b
 }
 
-// apply stages one tuple insertion into t: the pk index and every secondary
-// index derive fresh versions. The published snapshot is untouched.
+// apply stages one tuple insertion into t's pk index and every secondary
+// index. The published snapshot is untouched.
 func (tx *writeTx) apply(t *table, tup relation.Tuple) {
 	wt := tx.stage(t)
-	wt.pk = wt.pk.Set(t.keyOfIncoming(tup), tup)
+	wt.pk.Set(t.keyOfIncoming(tup), tup)
 	for key, ps := range t.secIdx {
 		sub := tup.Project(ps)
 		if !sub.IsTotal() {
@@ -141,7 +174,7 @@ func (tx *writeTx) apply(t *table, tup relation.Tuple) {
 		bucket := make([]relation.Tuple, 0, len(old)+1)
 		bucket = append(bucket, old...)
 		bucket = append(bucket, tup)
-		wt.sec[key] = wt.sec[key].Set(ek, bucket)
+		wt.sec[key].Set(ek, bucket)
 	}
 }
 
@@ -150,7 +183,7 @@ func (tx *writeTx) apply(t *table, tup relation.Tuple) {
 // index by retired empty buckets.
 func (tx *writeTx) remove(t *table, tup relation.Tuple) {
 	wt := tx.stage(t)
-	wt.pk = wt.pk.Delete(t.keyOfIncoming(tup))
+	wt.pk.Delete(t.keyOfIncoming(tup))
 	for key, ps := range t.secIdx {
 		sub := tup.Project(ps)
 		if !sub.IsTotal() {
@@ -171,9 +204,9 @@ func (tx *writeTx) remove(t *table, tup relation.Tuple) {
 			bucket = append(bucket, cand)
 		}
 		if len(bucket) == 0 {
-			wt.sec[key] = wt.sec[key].Delete(ek)
+			wt.sec[key].Delete(ek)
 		} else {
-			wt.sec[key] = wt.sec[key].Set(ek, bucket)
+			wt.sec[key].Set(ek, bucket)
 		}
 	}
 }
@@ -201,7 +234,7 @@ func (db *DB) publish(tx *writeTx, lsn uint64) {
 		tables[name] = v
 	}
 	for t, wt := range tx.work {
-		tables[t.name] = &tableVersion{pk: wt.pk, sec: wt.sec}
+		tables[t.name] = wt.version()
 	}
 	if lsn < cur.lsn {
 		// Concurrent writers can commit WAL records out of publish order;

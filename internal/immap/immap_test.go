@@ -2,6 +2,7 @@ package immap
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -205,6 +206,173 @@ func TestConcurrentReaders(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// TestBuilderDifferential drives seeded builders against a Go-map model:
+// Set and Delete interleave with Map freezes and with fresh builders forked
+// from earlier frozen maps, and every frozen map must still equal the model
+// recorded when it was frozen — no later in-place edit may reach it. The
+// narrow-hash run squeezes keys into few full-hash values, so collision
+// buckets and deep push-downs are edited in place too.
+func TestBuilderDifferential(t *testing.T) {
+	fnv := hashString
+	for _, tc := range []struct {
+		name string
+		hash func(string) uint64
+	}{
+		{"fnv", fnv},
+		{"narrow-hash", func(s string) uint64 { return fnv(s) & 0x3f0f }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hashString = tc.hash
+			defer func() { hashString = fnv }()
+			type frozen struct {
+				m     *Map[int]
+				model map[string]int
+			}
+			rng := rand.New(rand.NewSource(7))
+			b := New[int]().Edit()
+			model := map[string]int{}
+			var pins []frozen
+			for i := 0; i < 30000; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(2000))
+				switch r := rng.Intn(100); {
+				case r < 30:
+					_, had := model[key]
+					if b.Delete(key) != had {
+						t.Fatalf("op %d: Delete(%s) presence disagrees with the model", i, key)
+					}
+					delete(model, key)
+				case r < 98:
+					b.Set(key, i)
+					model[key] = i
+				case r < 99:
+					pins = append(pins, frozen{m: b.Map(), model: maps.Clone(model)})
+				default:
+					// Fork: continue from a random earlier frozen map.
+					if len(pins) == 0 {
+						continue
+					}
+					p := pins[rng.Intn(len(pins))]
+					b = p.m.Edit()
+					model = maps.Clone(p.model)
+				}
+				if b.Len() != len(model) {
+					t.Fatalf("op %d: builder Len = %d, model %d", i, b.Len(), len(model))
+				}
+				want, had := model[key]
+				if got, ok := b.Get(key); ok != had || got != want {
+					t.Fatalf("op %d: builder Get(%s) = %d,%v, model %d,%v", i, key, got, ok, want, had)
+				}
+			}
+			pins = append(pins, frozen{m: b.Map(), model: model})
+			for i, p := range pins {
+				if p.m.Len() != len(p.model) {
+					t.Fatalf("frozen map %d: Len = %d, model %d", i, p.m.Len(), len(p.model))
+				}
+				for k, v := range p.model {
+					if got, ok := p.m.Get(k); !ok || got != v {
+						t.Fatalf("frozen map %d: Get(%s) = %d,%v want %d", i, k, got, ok, v)
+					}
+				}
+				seen := 0
+				p.m.Range(func(k string, v int) bool {
+					if want, ok := p.model[k]; !ok || want != v {
+						t.Fatalf("frozen map %d: Range yielded %s=%d, model %d,%v", i, k, v, want, ok)
+					}
+					seen++
+					return true
+				})
+				if seen != len(p.model) {
+					t.Fatalf("frozen map %d: Range visited %d of %d", i, seen, len(p.model))
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentReadersDuringEdit has readers Get and Range frozen maps while
+// the builder that froze them keeps editing — in place on its own nodes,
+// copying the shared ones. Under -race, any write reaching a frozen node is
+// a reported race; without it, readers check every frozen map's contents.
+func TestConcurrentReadersDuringEdit(t *testing.T) {
+	const keys = 400
+	b := New[int]().Edit()
+	for i := 0; i < keys; i++ {
+		b.Set(fmt.Sprintf("k%d", i), 0)
+	}
+	var published sync.Map // round -> *Map[int] where every value == round
+	published.Store(0, b.Map())
+	const rounds = 200
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				round := rng.Intn(rounds)
+				v, ok := published.Load(round)
+				if !ok {
+					continue
+				}
+				m := v.(*Map[int])
+				if got, ok := m.Get(fmt.Sprintf("k%d", rng.Intn(keys))); !ok || got != round {
+					t.Errorf("frozen round %d: Get = %d,%v", round, got, ok)
+					return
+				}
+				n := 0
+				m.Range(func(_ string, val int) bool {
+					if val != round {
+						t.Errorf("frozen round %d: Range saw value %d", round, val)
+					}
+					n++
+					return true
+				})
+				if n != keys {
+					t.Errorf("frozen round %d: Range visited %d of %d", round, n, keys)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	for round := 1; round < rounds; round++ {
+		// Churn some keys out and back so deletes run in place too.
+		for i := 0; i < keys; i += 7 {
+			b.Delete(fmt.Sprintf("k%d", i))
+		}
+		for i := 0; i < keys; i++ {
+			b.Set(fmt.Sprintf("k%d", i), round)
+		}
+		published.Store(round, b.Map())
+	}
+	close(done)
+	wg.Wait()
+}
+
+// BenchmarkEditSet is BenchmarkSet's bulk-load counterpart: fresh keys go
+// into one builder, frozen and restarted from empty every len(keys) sets,
+// so the figures are per key of a bulk load, freeze included.
+func BenchmarkEditSet(b *testing.B) {
+	keys := make([]string, 10000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	bld := New[int]().Edit()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bld.Set(keys[i%len(keys)], i)
+		if i%len(keys) == len(keys)-1 {
+			bld.Map()
+			bld = New[int]().Edit()
+		}
+	}
 }
 
 func BenchmarkSet(b *testing.B) {

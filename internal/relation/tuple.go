@@ -115,7 +115,9 @@ func (t Tuple) encode(dst []byte) []byte {
 }
 
 // EncodeKey returns the string encoding of the tuple, suitable as a map key.
-// All-null tuples of the same arity encode identically.
+// All-null tuples of the same arity encode identically. Keys up to 64 bytes
+// are encoded on the stack, so the returned string is the one allocation.
 func (t Tuple) EncodeKey() string {
-	return string(t.encode(make([]byte, 0, 16*len(t))))
+	var buf [64]byte
+	return string(t.encode(buf[:0]))
 }

@@ -21,7 +21,7 @@ go vet ./...
 go run ./scripts/metriclint .
 go build ./...
 go test -race ./...
-go test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/workload/ ./internal/attrset/
+go test -race -count=1 -run 'Stress|Concurrent|Mixed' ./internal/engine/ ./internal/workload/ ./internal/attrset/ ./internal/immap/
 go test -race -count=1 -run 'Crash|Failpoint|Recovery|WAL' ./internal/wal/ ./internal/engine/
 go test -race -count=1 -run 'Session|Remote|Serve|Frame|Wire|Protocol|Admission|Deadline|Drain|Kill|Coalesc|Client|Stats|Code|Sentinels' ./internal/server/ ./pkg/relmerge/
 go test -race -count=1 -run 'HashKey|Router|CrossShard|Shard|NonKeyIND|ProbeCache' ./internal/shard/
